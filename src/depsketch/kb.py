@@ -7,7 +7,6 @@ stamp (``FQNKB v1``) so stale files fail loudly instead of quietly.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,7 +58,7 @@ class KnowledgeBase:
         self.entries: list[KbEntry] = []
         self.itemsets: dict[str, ProjectItemset] = {}
         self.ground_truth: dict[Coordinate, set[Coordinate]] = {}
-        self._seen: set[tuple[str, str]] = set()  # (rendered FQN, dep render)
+        self._seen: set[tuple[str, Coordinate]] = set()  # (rendered FQN, dep)
         self.by_simple_name: dict[str, list[KbEntry]] = {}
         self.by_method_key: dict[tuple[str, int], list[KbEntry]] = {}
         self.by_field_name: dict[str, list[KbEntry]] = {}
@@ -68,15 +67,12 @@ class KnowledgeBase:
 
     def add_entry(self, entry: KbEntry) -> bool:
         """Add one entry; returns False for a duplicate (same FQN + dep)."""
-        key = (entry.render(), entry.dep.render())
-        if key in self._seen:
+        seen = self._seen
+        size = len(seen)
+        seen.add((entry.render(), entry.dep))  # add, then compare sizes: one hash
+        if len(seen) == size:
             return False
-        self._seen.add(key)
         self.entries.append(entry)
-        self._index(entry)
-        return True
-
-    def _index(self, entry: KbEntry) -> None:
         if entry.kind is EntryKind.TYPE:
             self.by_simple_name.setdefault(entry.name, []).append(entry)
         elif entry.kind is EntryKind.METHOD:
@@ -84,15 +80,17 @@ class KnowledgeBase:
             self.by_method_key.setdefault(key, []).append(entry)
         else:
             self.by_field_name.setdefault(entry.name, []).append(entry)
+        return True
 
     def _reindex(self) -> None:
+        entries = self.entries
+        self.entries = []
         self.by_simple_name = {}
         self.by_method_key = {}
         self.by_field_name = {}
         self._seen = set()
-        for entry in self.entries:
-            self._seen.add((entry.render(), entry.dep.render()))
-            self._index(entry)
+        for entry in entries:
+            self.add_entry(entry)
 
     def ingest_class_listing(self, path: str | Path, dep: Coordinate) -> int:
         """Read ``T``/``M``/``F`` lines from *path*; returns entries added.
@@ -117,6 +115,8 @@ class KnowledgeBase:
 
     def ingest_pom(self, path: str | Path) -> ProjectItemset:
         """Extract the declared dependency set from a Maven POM."""
+        import xml.etree.ElementTree as ET  # only ingest reads XML; resolve never does
+
         path = Path(path)
         try:
             tree = ET.parse(path)
@@ -226,11 +226,7 @@ class KnowledgeBase:
             pool = self.by_method_key.get((sketch.name, len(sketch.params)), [])
         else:
             pool = self.by_field_name.get(sketch.name, [])
-        found = [
-            (entry, f"{entry.dep.render()}:{entry.provider_fqn}")
-            for entry in pool
-            if matches(sketch, entry)
-        ]
+        found = [(entry, variable_key(entry)) for entry in pool if matches(sketch, entry)]
         found.sort(key=lambda pair: (pair[1], pair[0].render()))
         return found
 
@@ -272,20 +268,35 @@ class KnowledgeBase:
 
     @classmethod
     def load(cls, path: str | Path) -> KnowledgeBase:
-        text = Path(path).read_text(encoding="utf-8")
+        """Read a dump written by `save`, checking every line.
+
+        Each entry line goes through `KbEntry.from_listing`, so a dump is held
+        to the same grammar as a class listing.  Coordinates are parsed once
+        per distinct ``dep=`` text.
+        """
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = exc.object.count(b"\n", 0, exc.start) + 1
+            raise KbLoadError(
+                f"{path}:{line_no}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+            ) from exc
         lines = text.splitlines()
         if not lines or lines[0] != FORMAT_STAMP:
             found = lines[0] if lines else "<empty file>"
-            raise KbLoadError(f"{path}: expected header {FORMAT_STAMP!r}, found {found!r}")
+            raise KbLoadError(f"{path}:1: expected header {FORMAT_STAMP!r}, found {found!r}")
         if not lines[-1].startswith("end "):
-            raise KbLoadError(f"{path}: missing end marker, file looks truncated")
+            raise KbLoadError(f"{path}:{len(lines)}: missing end marker, file looks truncated")
         kb = cls()
+        coordinates: dict[str, Coordinate] = {}  # dep= text -> parsed, once each
         n_entries = n_itemsets = n_gt = 0
         for line_no, line in enumerate(lines[1:-1], start=2):
             if line.startswith("dep="):
                 head, _, listing = line.partition(" ")
                 try:
-                    dep = Coordinate.parse(head[len("dep="):])
+                    dep = coordinates.get(head)
+                    if dep is None:
+                        dep = coordinates[head] = Coordinate.parse(head[len("dep="):])
                     entry = KbEntry.from_listing(listing, dep)
                 except ValueError as exc:
                     raise KbLoadError(f"{path}:{line_no}: {exc}") from exc
@@ -323,9 +334,15 @@ class KnowledgeBase:
             counts = []
         if counts != [n_entries, n_itemsets, n_gt]:
             raise KbLoadError(
-                f"{path}: end marker {lines[-1]!r} does not match body, file looks truncated"
+                f"{path}:{len(lines)}: end marker {lines[-1]!r} does not match body, "
+                "file looks truncated"
             )
         return kb
+
+
+def variable_key(entry: KbEntry) -> str:
+    """Solver variable of *entry*: ``dep:provider-FQN`` (see `KnowledgeBase.lookup`)."""
+    return f"{entry.dep.render()}:{entry.provider_fqn}"
 
 
 def _byte_offset(path: Path, line: int, col: int) -> int:

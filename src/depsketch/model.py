@@ -35,20 +35,27 @@ JAVA_LANG_TYPES = frozenset(
     {"String", "Object", "Integer", "Boolean", "Character", "Double", "Long"}
 )
 
-_IDENT_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
+# Every pattern below is used with ``fullmatch``: ``$`` would also accept a
+# trailing newline.
+_IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
+_DOTTED = rf"{_IDENT}(?:\.{_IDENT})*"  # one or more segments: an owner
+_FQN = rf"{_IDENT}(?:\.{_IDENT})+"  # two or more segments
+# a parameter / return / field type: primitive or package-qualified FQN
+# (primitives first: a literal fails at its first character, while the FQN
+# branch would scan a whole primitive name before failing)
+_TYPE = rf"(?:{'|'.join(sorted(PRIMITIVES))}|{_FQN})"
+
+_IDENT_RE = re.compile(_IDENT)
+_DOTTED_RE = re.compile(_DOTTED)
+_FQN_RE = re.compile(_FQN)
+_TYPE_RE = re.compile(_TYPE)
 # numeric versions like 1.0 / 2.3.1-SNAPSHOT / 8, or a bare tag like java8
-_VERSION_RE = re.compile(r"^(?:\d+(?:\.\d+)*(?:[-+][^\s:]+)?|[A-Za-z][A-Za-z0-9_.+-]*)$")
+_VERSION_RE = re.compile(r"\d+(?:\.\d+)*(?:[-+][^\s:]+)?|[A-Za-z][A-Za-z0-9_.+-]*")
 
 
 def is_fqn(text: str) -> bool:
     """True if *text* is a dotted chain of identifiers (at least two segments)."""
-    parts = text.split(".")
-    return len(parts) >= 2 and all(_IDENT_RE.match(p) for p in parts)
-
-
-def _is_type_string(text: str) -> bool:
-    # a parameter / return / field type: primitive or package-qualified FQN
-    return text in PRIMITIVES or is_fqn(text)
+    return _FQN_RE.fullmatch(text) is not None
 
 
 @dataclass(frozen=True, order=True)
@@ -63,7 +70,7 @@ class Coordinate:
         for label, value in (("group", self.group), ("artifact", self.artifact)):
             if not value or ":" in value or value.split() != [value]:
                 raise ValueError(f"bad coordinate {label}: {value!r}")
-        if not _VERSION_RE.match(self.version):
+        if not _VERSION_RE.fullmatch(self.version):
             raise ValueError(f"bad coordinate version: {self.version!r}")
 
     @classmethod
@@ -81,6 +88,15 @@ class EntryKind(Enum):
     TYPE = "T"
     METHOD = "M"
     FIELD = "F"
+
+
+# The class-listing line grammar: one alternative per tag, whose groups are
+# the entry fields, each checked as ``KbEntry.__post_init__`` would check it.
+_LISTING_RE = re.compile(
+    rf"\s*(?:T\s+({_DOTTED})\.({_IDENT})(?:\s+<:\s+({_FQN}))?"  # groups 1-3
+    rf"|M\s+({_DOTTED})\.({_IDENT})\(((?:{_TYPE}(?:,{_TYPE})*)?)\)({_TYPE})"  # 4-7
+    rf"|F\s+({_DOTTED})\.({_IDENT}):({_TYPE}))\s*"  # 8-10
+)
 
 
 @dataclass(frozen=True)
@@ -104,9 +120,9 @@ class KbEntry:
     def __post_init__(self) -> None:
         if self.dep is None:
             raise ValueError("entry needs a dependency coordinate")
-        if not self.owner or not all(_IDENT_RE.match(p) for p in self.owner.split(".")):
+        if not _DOTTED_RE.fullmatch(self.owner):
             raise ValueError(f"bad owner: {self.owner!r}")
-        if not _IDENT_RE.match(self.name):
+        if not _IDENT_RE.fullmatch(self.name):
             raise ValueError(f"bad simple name: {self.name!r}")
         if self.kind is EntryKind.TYPE:
             if self.params or self.returns or self.field_type:
@@ -114,13 +130,13 @@ class KbEntry:
         elif self.kind is EntryKind.METHOD:
             if not self.returns:
                 raise ValueError("method entries need a return type")
-            bad = [t for t in self.params + (self.returns,) if not _is_type_string(t)]
+            bad = [t for t in self.params + (self.returns,) if not _TYPE_RE.fullmatch(t)]
             if bad:
                 raise ValueError(f"bad type in signature: {bad[0]!r}")
             if self.field_type or self.supertype:
                 raise ValueError("method entries carry no field type or supertype")
         else:
-            if not _is_type_string(self.field_type):
+            if not _TYPE_RE.fullmatch(self.field_type):
                 raise ValueError(f"bad field type: {self.field_type!r}")
             if self.params or self.returns or self.supertype:
                 raise ValueError("field entries carry only a field type")
@@ -155,7 +171,42 @@ class KbEntry:
 
     @classmethod
     def from_listing(cls, line: str, dep: Coordinate) -> KbEntry:
-        """Parse one class-listing line (``T``/``M``/``F`` form)."""
+        """Parse one class-listing line (``T``/``M``/``F`` form).
+
+        ``_LISTING_RE`` checks every field that ``__post_init__`` checks, so
+        a line it matches builds its entry directly.  A line it rejects is
+        parsed again, step by step, only to say what is wrong with it.
+        """
+        match = _LISTING_RE.fullmatch(line)
+        if match is None or dep is None:
+            cls._parse_listing_stepwise(line, dep)
+            raise ValueError(f"bad listing line: {line!r}")
+        (t_owner, t_name, supertype,
+         m_owner, m_name, params, returns,
+         f_owner, f_name, field_type) = match.groups()  # one row per tag: T, M, F
+        entry = object.__new__(cls)  # fields checked above; skip __post_init__
+        if m_owner is not None:
+            entry.__dict__.update(
+                kind=EntryKind.METHOD, owner=m_owner, name=m_name,
+                params=tuple(params.split(",")) if params else (), returns=returns,
+                field_type="", supertype=None, dep=dep,
+            )
+        elif f_owner is not None:
+            entry.__dict__.update(
+                kind=EntryKind.FIELD, owner=f_owner, name=f_name, params=(), returns="",
+                field_type=field_type, supertype=None, dep=dep,
+            )
+        else:
+            entry.__dict__.update(
+                kind=EntryKind.TYPE, owner=t_owner, name=t_name, params=(), returns="",
+                field_type="", supertype=supertype, dep=dep,
+            )
+        return entry
+
+    @classmethod
+    def _parse_listing_stepwise(cls, line: str, dep: Coordinate) -> KbEntry:
+        # The reference parser: split, check each part, build through
+        # __post_init__.  It names the first problem it finds.
         tokens = line.split()
         if not tokens:
             raise ValueError("empty line")

@@ -67,10 +67,6 @@ class _Candidates:
     entries: list[tuple[int, KbEntry]] = field(default_factory=list)
 
 
-def variable_key(entry: KbEntry) -> str:
-    return f"{entry.dep.render()}:{entry.provider_fqn}"
-
-
 def build_problem(
     sketches: Iterable[Sketch],
     kb: KnowledgeBase,

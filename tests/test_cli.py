@@ -271,6 +271,15 @@ class TestResolve:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_kb_exits_two_naming_it(self, tmp_path, capsys):
+        kb = tmp_path / "kb.txt"
+        kb.write_bytes(b"FQNKB v1\ndep=g:a:1 T a.b.\xff\nend 1 0 0\n")
+        code = main(["resolve", str(FIXTURES / "snippet.java"), "--kb", str(kb)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kb}:2: ")
+        assert "codec" not in err
+
     def test_bad_declared_coordinate(self, kb_path, capsys):
         code = main(
             [

@@ -98,23 +98,34 @@ class TestLookup:
         ]
 
 
-_segments = st.text(alphabet="abxy", min_size=1, max_size=3)
+_segments = st.text(alphabet="abxy_$1", min_size=1, max_size=3).filter(
+    lambda s: not s[0].isdigit()
+)
 _fqns = st.lists(_segments, min_size=2, max_size=3).map(".".join)
+_types = _fqns | st.sampled_from(["int", "boolean", "void"])
 _deps = st.sampled_from([JDK8, DISTRACTOR, Coordinate.parse("org.other:lib:2.0")])
 
 
 @st.composite
-def _kb_entries(draw):
+def _kb_entries(draw, supertypes=st.none()):
     kind = draw(st.sampled_from(list(EntryKind)))
     owner = draw(_fqns)
     name = draw(_segments)
     dep = draw(_deps)
     if kind is EntryKind.TYPE:
-        return KbEntry(kind, owner, name, dep=dep)
+        return KbEntry(kind, owner, name, supertype=draw(supertypes), dep=dep)
     if kind is EntryKind.METHOD:
-        params = tuple(draw(st.lists(_fqns, max_size=2)))
-        return KbEntry(kind, owner, name, params=params, returns=draw(_fqns), dep=dep)
-    return KbEntry(kind, owner, name, field_type=draw(_fqns), dep=dep)
+        params = tuple(draw(st.lists(_types, max_size=2)))
+        return KbEntry(kind, owner, name, params=params, returns=draw(_types), dep=dep)
+    return KbEntry(kind, owner, name, field_type=draw(_types), dep=dep)
+
+
+def _all_holes(entry: KbEntry) -> Sketch:
+    if entry.kind is EntryKind.TYPE:
+        return type_sketch(entry.name)
+    if entry.kind is EntryKind.METHOD:
+        return method_sketch(entry.name, ("?",) * len(entry.params))
+    return Sketch(EntryKind.FIELD, "?", entry.name, field_type="?")
 
 
 @given(entries=st.lists(_kb_entries(), max_size=20))
@@ -124,13 +135,28 @@ def test_index_completeness(entries):
     for entry in entries:
         kb.add_entry(entry)
     for entry in entries:
-        if entry.kind is EntryKind.TYPE:
-            probe = type_sketch(entry.name)
-        elif entry.kind is EntryKind.METHOD:
-            probe = method_sketch(entry.name, ("?",) * len(entry.params))
-        else:
-            probe = Sketch(EntryKind.FIELD, "?", entry.name, field_type="?")
-        assert entry in [found for found, _ in kb.lookup(probe)]
+        assert entry in [found for found, _ in kb.lookup(_all_holes(entry))]
+
+
+@given(entries=st.lists(_kb_entries(supertypes=st.none() | _fqns), max_size=20))
+def test_save_load_round_trip(entries, tmp_path_factory):
+    # The listing grammar that load applies and the field checks that built
+    # the entries must agree on every entry save can write.
+    for entry in entries:
+        assert KbEntry.from_listing(entry.listing_line(), entry.dep) == entry
+    kb = KnowledgeBase()
+    for entry in entries:
+        kb.add_entry(entry)
+    path = tmp_path_factory.mktemp("round_trip") / "kb.txt"
+    kb.save(path)
+    dump = path.read_bytes()
+    loaded = KnowledgeBase.load(path)
+    assert sorted(loaded.entries, key=repr) == sorted(kb.entries, key=repr)
+    for entry in entries:
+        probe = _all_holes(entry)
+        assert loaded.lookup(probe) == kb.lookup(probe)
+    loaded.save(path)
+    assert path.read_bytes() == dump
 
 
 class TestPomIngestion:
@@ -273,6 +299,46 @@ class TestPersistence:
         path.write_text("SOMETHING v9\nend 0 0 0\n")
         with pytest.raises(KbLoadError):
             KnowledgeBase.load(path)
+
+    @pytest.mark.parametrize(
+        ("body", "line_no", "reason"),
+        [
+            (["dep=g:a:1 M a.b.c(int", "end 1 0 0"], 2, "parenthes"),
+            (["dep=g:a:1 T a.b.C", "dep=g:a:1 T a.b.C", "end 2 0 0"], 3, "duplicate entry"),
+            (["dep=g:a:1 T a.b.C", "dep=g:a T a.b.D", "end 2 0 0"], 3, "group:artifact:version"),
+            (["dep=g:a:1 T a.b.C", "end 2 0 0"], 3, "does not match body"),
+            (["itemset\tproject", "end 0 1 0"], 2, "bad itemset line"),
+            (["itemset\tproject\tg:a", "end 0 1 0"], 2, "group:artifact:version"),
+            (["dep=g:a:1 T a.b.C\t<: Object", "end 1 0 0"], 2, "bad supertype"),
+        ],
+        ids=[
+            "malformed-entry", "duplicate-entry", "bad-dep", "end-count-mismatch",
+            "short-itemset", "bad-itemset-coordinate", "bad-supertype",
+        ],
+    )
+    def test_bad_line_names_path_and_line(self, tmp_path, body, line_no, reason):
+        path = tmp_path / "kb.txt"
+        path.write_text("\n".join(["FQNKB v1", *body]) + "\n")
+        with pytest.raises(KbLoadError) as err:
+            KnowledgeBase.load(path)
+        assert str(err.value).startswith(f"{path}:{line_no}: ")
+        assert reason in str(err.value)
+
+    def test_non_utf8_dump_names_path(self, tmp_path):
+        path = tmp_path / "kb.txt"
+        path.write_bytes(b"FQNKB v1\ndep=g:a:1 T a.b.\xff\nend 1 0 0\n")
+        with pytest.raises(KbLoadError) as err:
+            KnowledgeBase.load(path)
+        assert str(err.value).startswith(f"{path}:2: ")
+        assert "UTF-8" in str(err.value)
+
+    def test_dump_keeps_listing_whitespace_rules(self, tmp_path):
+        # load accepts what a class listing accepts: any run of blanks
+        # between the parts of an entry line
+        path = tmp_path / "kb.txt"
+        path.write_text("FQNKB v1\ndep=g:a:1 T\ta.b.C  <:  x.Y \nend 1 0 0\n")
+        (entry,) = KnowledgeBase.load(path).entries
+        assert entry.listing_line() == "T a.b.C <: x.Y"
 
 
 class TestStats:

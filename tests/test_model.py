@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depsketch.model import (
@@ -24,7 +24,7 @@ class TestCoordinate:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "a:b", "a:b:c:d", ":b:1", "a::1", "a:b:", "a b:c:1", "a:b:1 2"],
+        ["", "a:b", "a:b:c:d", ":b:1", "a::1", "a:b:", "a b:c:1", "a:b:1 2", "g:a:1.0\n"],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
@@ -42,7 +42,7 @@ class TestIsFqn:
     def test_accepts(self, good):
         assert is_fqn(good)
 
-    @pytest.mark.parametrize("bad", ["Pattern", "", "a.", ".a", "a..b", "a.1b"])
+    @pytest.mark.parametrize("bad", ["Pattern", "", "a.", ".a", "a..b", "a.1b", "a.b\n"])
     def test_rejects(self, bad):
         assert not is_fqn(bad)
 
@@ -86,6 +86,9 @@ class TestKbEntry:
             "M a.b.c)java.lang.String(",  # reversed parens
             "M a.b.c(x)y extra",
             "F a.b.c",  # no field type
+            "F a.b.c:String",  # a non-primitive type must be package-qualified
+            "M a.b.c(x)void",
+            "T a.b.C <: Object",
         ],
     )
     def test_rejects_malformed(self, bad):
@@ -217,3 +220,44 @@ def test_renamed_sketch_never_matches(entry):
     if entry.kind is EntryKind.TYPE:
         sketch = Sketch(entry.kind, "?", entry.name + "x")
     assert not matches(sketch, entry)
+
+
+# listing-line parts, valid and not: identifiers, types, dotted chains
+_WORDS = st.sampled_from(
+    ["a", "B1", "_x", "$", "int", "void", "x.Y", "p.q.R", "int.x", "1a", "a..b", "a b", ""]
+)
+_BLANKS = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _listing_lines(draw):
+    # tag, owner.name, then the tail of any kind, so tags and tails mismatch too
+    tail = draw(
+        st.one_of(
+            st.just(""),
+            st.tuples(_BLANKS, st.just("<:"), _BLANKS, _WORDS).map("".join),
+            st.tuples(st.lists(_WORDS, max_size=3), _WORDS).map(
+                lambda t: f"({','.join(t[0])}){t[1]}"
+            ),
+            _WORDS.map(lambda w: ":" + w),
+        )
+    )
+    tag = draw(st.sampled_from(["T", "M", "F", "X", ""]))
+    head = f"{draw(_WORDS)}.{draw(_WORDS)}"
+    return f"{draw(_BLANKS)}{tag}{draw(_BLANKS)}{head}{tail}{draw(_BLANKS)}"
+
+
+@settings(max_examples=500)
+@given(line=_listing_lines())
+def test_listing_grammar_agrees_with_stepwise_parse(line):
+    # from_listing's one-pattern parse accepts exactly the lines the stepwise
+    # parse (which builds through __post_init__) accepts, with equal fields.
+    try:
+        expected = KbEntry._parse_listing_stepwise(line, DEP)
+    except ValueError:
+        expected = None
+    try:
+        got = KbEntry.from_listing(line, DEP)
+    except ValueError:
+        got = None
+    assert got == expected

@@ -4,13 +4,9 @@ import pytest
 
 from depsketch import KnowledgeBase, emit_patch, resolve
 from depsketch.frontend import JavaSyntaxError
+from depsketch.kb import variable_key
 from depsketch.model import Coordinate, KbEntry, matches
-from depsketch.resolver import (
-    CoverageError,
-    ResolutionError,
-    build_problem,
-    variable_key,
-)
+from depsketch.resolver import CoverageError, ResolutionError, build_problem
 from depsketch.solver import InfeasibleError
 
 from conftest import DISTRACTOR, JDK8
