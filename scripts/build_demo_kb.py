@@ -2,8 +2,8 @@
 """Build the demo knowledge base from the checked-in fixtures.
 
 The result is the same knowledge base the tests and the walkthrough use:
-a small JDK slice with two same-named distractor types, one project POM,
-and the ground-truth coordinate relations.
+a small JDK slice with two same-named distractor types and the
+ground-truth coordinate relations.
 """
 
 from __future__ import annotations
@@ -21,14 +21,11 @@ LISTINGS = (
 )
 
 
-def build(kb_path: Path, include_pom: bool, include_ground_truth: bool) -> KnowledgeBase:
+def build(kb_path: Path, include_ground_truth: bool) -> KnowledgeBase:
     kb = KnowledgeBase()
     for listing, coordinate in LISTINGS:
         added = kb.ingest_class_listing(FIXTURES / listing, Coordinate.parse(coordinate))
         print(f"{listing}: {added} entries for {coordinate}")
-    if include_pom:
-        itemset = kb.ingest_pom(FIXTURES / "sample_pom.xml")
-        print(f"sample_pom.xml: itemset with {len(itemset.deps)} dependencies")
     if include_ground_truth:
         relations = kb.ingest_ground_truth(FIXTURES / "ground_truth.txt")
         removed = kb.filter_against_ground_truth()
@@ -41,10 +38,9 @@ def build(kb_path: Path, include_pom: bool, include_ground_truth: bool) -> Knowl
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kb", default="demo_kb.txt", help="output knowledge base file")
-    parser.add_argument("--no-pom", action="store_true", help="skip the sample POM itemset")
     parser.add_argument("--no-ground-truth", action="store_true", help="skip ground-truth filtering")
     args = parser.parse_args()
-    kb = build(Path(args.kb), not args.no_pom, not args.no_ground_truth)
+    kb = build(Path(args.kb), not args.no_ground_truth)
     print(" ".join(f"{key}={value}" for key, value in kb.stats().items()))
     return 0
 

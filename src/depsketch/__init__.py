@@ -5,7 +5,7 @@ minimal-model solve -> bindings.  See the README for the file formats and
 the command line.
 """
 
-from .kb import KnowledgeBase, ProjectItemset
+from .kb import KnowledgeBase
 from .model import Coordinate, DepsketchError, EntryKind, KbEntry, Sketch, Span, matches
 from .resolver import Binding, Resolution, emit_patch, resolve
 from .solver import (
@@ -29,7 +29,6 @@ __all__ = [
     "KbEntry",
     "KnowledgeBase",
     "Model",
-    "ProjectItemset",
     "Resolution",
     "Sketch",
     "Span",

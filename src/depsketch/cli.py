@@ -11,26 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .frontend import sketch_source
-from .kb import KnowledgeBase
+from .kb import KnowledgeBase, read_utf8
 from .model import Coordinate, DepsketchError
 from .resolver import Resolution, emit_patch, resolve
 from .solver import dump_problem
-
-
-@dataclass
-class Config:
-    """Resolved flag values for one ``resolve`` invocation."""
-
-    kb_path: str | None = None
-    strict: bool = False
-    partial: bool = False
-    emit_cnf: str | None = None
-    declared_deps: list[str] = field(default_factory=list)
-    output: str = "human"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,7 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--kb", required=True, help="knowledge base file to create or update")
     ingest.add_argument("--classes", action="append", default=[], help="class listing file")
     ingest.add_argument("--dep", action="append", default=[], help="g:a:v for the matching --classes")
-    ingest.add_argument("--pom", action="append", default=[], help="POM file to mine an itemset from")
     ingest.add_argument("--ground-truth", help="known coordinate relations, one 'g:a:v -> g:a:v' per line")
     ingest.set_defaults(func=cmd_ingest)
 
@@ -79,8 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_source(spec: str) -> str:
     if spec == "-":
-        return sys.stdin.read()
-    return Path(spec).read_text(encoding="utf-8")
+        return read_utf8("<stdin>", DepsketchError, _read_stdin)
+    return read_utf8(spec, DepsketchError)
+
+
+def _read_stdin() -> str:
+    # In UTF-8 mode stdin decodes with surrogateescape, which would let bytes
+    # a file read rejects through; decode them as strictly as a file's.
+    return sys.stdin.read().encode("utf-8", "surrogateescape").decode("utf-8")
 
 
 def _write_output(spec: str, text: str) -> None:
@@ -95,8 +87,8 @@ def _parse_coordinates(texts: list[str]) -> tuple[Coordinate, ...]:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    if not (args.classes or args.pom or args.ground_truth):
-        print("error: nothing to ingest, pass --classes, --pom, or --ground-truth", file=sys.stderr)
+    if not (args.classes or args.ground_truth):
+        print("error: nothing to ingest, pass --classes or --ground-truth", file=sys.stderr)
         return 2
     if len(args.classes) != len(args.dep):
         print("error: each --classes file needs a matching --dep coordinate", file=sys.stderr)
@@ -106,17 +98,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     added = 0
     for listing, dep in zip(args.classes, deps):
         added += kb.ingest_class_listing(listing, dep)
-    for pom in args.pom:
-        kb.ingest_pom(pom)
-    removed = 0
     if args.ground_truth:
         kb.ingest_ground_truth(args.ground_truth)
-        removed = kb.filter_against_ground_truth()
+    # saved ground truth applies to every ingest, not only the one that brought it
+    removed = kb.filter_against_ground_truth()
     kb.save(args.kb)
-    counts = kb.stats()
     print(f"entries added: {added}")
     print(f"entries removed: {removed}")
-    print(f"itemsets: {counts['itemsets']}")
     return 0
 
 
@@ -132,26 +120,18 @@ def cmd_sketch(args: argparse.Namespace) -> int:
 
 
 def cmd_resolve(args: argparse.Namespace) -> int:
-    config = Config(
-        kb_path=args.kb,
-        strict=args.strict,
-        partial=args.partial,
-        emit_cnf=args.emit_cnf,
-        declared_deps=list(args.declared),
-        output=args.output,
-    )
-    kb = KnowledgeBase.load(config.kb_path)
-    declared = _parse_coordinates(config.declared_deps)
+    kb = KnowledgeBase.load(args.kb)
+    declared = _parse_coordinates(args.declared)
     text = _read_source(args.source)
     resolution = resolve(
-        text, kb, declared, strict=config.strict, require_unit=args.wrapped == "false"
+        text, kb, declared, strict=args.strict, require_unit=args.wrapped == "false"
     )
-    if config.emit_cnf:
-        _write_output(config.emit_cnf, dump_problem(resolution.problem, resolution.variable_names))
+    if args.emit_cnf:
+        _write_output(args.emit_cnf, dump_problem(resolution.problem, resolution.variable_names))
     if args.patch:
-        patched = emit_patch(resolution, resolution.snippet.source, partial=config.partial)
+        patched = emit_patch(resolution, resolution.snippet.source, partial=args.partial)
         _write_output(args.patch, patched)
-    if config.output == "machine":
+    if args.output == "machine":
         print(json.dumps(build_report(resolution), indent=2, sort_keys=True))
     else:
         _print_human(resolution)
@@ -206,11 +186,12 @@ def build_report(resolution: Resolution) -> dict:
 
 
 def _print_human(resolution: Resolution) -> None:
-    for sketch_row in build_report(resolution)["sketches"]:
+    report = build_report(resolution)
+    for sketch_row in report["sketches"]:
         line = f"{sketch_row['status']:<10} {sketch_row['render']}"
         if sketch_row["status"] == "bound":
-            binding = next(b for b in resolution.bindings if b.sketch.render() == sketch_row["render"])
-            line += f" -> {binding.entry.render()} [{binding.entry.dep.render()}]"
+            binding = report["bindings"][sketch_row["render"]]
+            line += f" -> {binding['fqn']} [{binding['dependency']}]"
         print(line)
     print(f"cost {resolution.cost}")
     print("dependencies: " + (", ".join(resolution.dependencies) or "(none)"))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..model import DepsketchError, Span
+from ..model import PRIMITIVES, DepsketchError, Span
 
 
 class JavaSyntaxError(DepsketchError):
@@ -23,20 +23,12 @@ class JavaSyntaxError(DepsketchError):
         self.expected = expected
 
 
-KEYWORDS = frozenset(
-    {
-        "class", "extends", "import", "new", "return", "if", "else", "while", "for",
-        "true", "false", "null",
-        "public", "private", "protected", "static", "final",
-        "boolean", "byte", "char", "double", "float", "int", "long", "short", "void",
-    }
-)
-
-PRIMITIVE_KEYWORDS = frozenset(
-    {"boolean", "byte", "char", "double", "float", "int", "long", "short", "void"}
-)
-
 MODIFIER_KEYWORDS = frozenset({"public", "private", "protected", "static", "final"})
+
+KEYWORDS = PRIMITIVES | MODIFIER_KEYWORDS | {
+    "class", "extends", "import", "new", "return", "if", "else", "while", "for",
+    "true", "false", "null",
+}
 
 _TWO_CHAR = ("==", "!=", "<=", ">=", "&&", "||", "->")
 _ONE_CHAR = set("{}();,.=<>!+-*/%[]@:")

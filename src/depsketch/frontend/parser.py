@@ -23,14 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..model import Span
-from .lexer import (
-    JavaSyntaxError,
-    MODIFIER_KEYWORDS,
-    PRIMITIVE_KEYWORDS,
-    Token,
-    tokenize,
-)
+from ..model import PRIMITIVES, Span
+from .lexer import JavaSyntaxError, MODIFIER_KEYWORDS, Token, tokenize
 
 _ZERO = Span(1, 1, 1, 1)
 
@@ -334,7 +328,7 @@ class _Parser:
 
     def _type_name(self) -> TypeName:
         token = self.peek()
-        if token.kind == "kw" and token.text in PRIMITIVE_KEYWORDS:
+        if token.kind == "kw" and token.text in PRIMITIVES:
             self.advance()
             name = TypeName(token.text, token.span)
         elif token.kind == "ident":
@@ -392,7 +386,7 @@ class _Parser:
                 value = None if self.at(";") else self._expression()
                 self.expect(";")
                 return ReturnStmt(value, token.span)
-            if token.text in PRIMITIVE_KEYWORDS:
+            if token.text in PRIMITIVES:
                 return self._var_decl(consume_semi=True)
             if token.text in ("class", "import"):
                 raise self.error("declarations are not allowed inside a snippet body")
@@ -469,7 +463,7 @@ class _Parser:
         self.expect("(")
         init = None
         if not self.at(";"):
-            if self.peek().kind == "kw" and self.peek().text in PRIMITIVE_KEYWORDS:
+            if self.peek().kind == "kw" and self.peek().text in PRIMITIVES:
                 init = self._var_decl(consume_semi=False)
             elif self.peek().kind == "ident":
                 init = self._maybe_var_decl(consume_semi=False)
@@ -538,7 +532,7 @@ class _Parser:
             if token.text == "new":
                 self.advance()
                 new_type = self._type_name()
-                if new_type.text in PRIMITIVE_KEYWORDS:
+                if new_type.text in PRIMITIVES:
                     raise JavaSyntaxError(
                         "cannot instantiate a primitive type",
                         new_type.span.line,
@@ -592,24 +586,19 @@ class Origin(Enum):
 class Snippet:
     source: str
     origin: Origin
-    wrapped_source: str
-
-
-_WRAP_PREFIX = "class __Snippet { void __run() {\n"
-_WRAP_SUFFIX = "\n} }\n"
 
 
 def wrap(source: str, allow_wrap: bool = True) -> Snippet:
     """Classify *source* as a compilation unit or a statement snippet.
 
-    Statement snippets get a wrapped rendering that parses as a unit; the
-    original text and positions are what analysis reports against.
+    `parse` puts statement snippets inside a synthetic class; the original
+    text and positions are what analysis reports against.
     """
     if not source.strip():
         raise JavaSyntaxError("empty source", 1, 1)
     try:
         parse_unit(source)
-        return Snippet(source, Origin.FREESTANDING, source)
+        return Snippet(source, Origin.FREESTANDING)
     except JavaSyntaxError as unit_error:
         if not allow_wrap:
             raise
@@ -617,7 +606,7 @@ def wrap(source: str, allow_wrap: bool = True) -> Snippet:
             parse_statements(source)
         except JavaSyntaxError as statement_error:
             raise (unit_error if _unit_like(source) else statement_error) from None
-        return Snippet(source, Origin.WRAPPED, _WRAP_PREFIX + source + _WRAP_SUFFIX)
+        return Snippet(source, Origin.WRAPPED)
 
 
 def _unit_like(source: str) -> bool:

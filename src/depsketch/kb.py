@@ -1,13 +1,13 @@
 """Knowledge base of API entries keyed for sketch lookup.
 
-Built once from class listings, POM files, and a ground-truth relation file,
-then used read-only.  Persistence is a line-oriented dump with a version
-stamp (``FQNKB v1``) so stale files fail loudly instead of quietly.
+Built once from class listings and a ground-truth relation file, then used
+read-only.  Persistence is a line-oriented dump with a version stamp
+(``FQNKB v1``) so stale files fail loudly instead of quietly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from pathlib import Path
 
 from .model import Coordinate, DepsketchError, EntryKind, KbEntry, Sketch, matches
@@ -16,13 +16,6 @@ FORMAT_STAMP = "FQNKB v1"
 
 
 class ListingError(DepsketchError):
-    def __init__(self, path: str, line_no: int, reason: str):
-        super().__init__(f"{path}:{line_no}: {reason}")
-        self.path = path
-        self.line_no = line_no
-
-
-class PomError(DepsketchError):
     pass
 
 
@@ -34,29 +27,32 @@ class KbLoadError(DepsketchError):
     pass
 
 
-@dataclass(frozen=True)
-class ProjectItemset:
-    """The set of dependencies one project declares (never empty)."""
+def read_utf8(
+    name: str | Path, error: Callable[[str], DepsketchError], read: Callable[[], str] | None = None
+) -> str:
+    """The UTF-8 text of file *name*, or what *read* returns if given.
 
-    project_id: str
-    deps: frozenset[Coordinate]
-
-    def __post_init__(self) -> None:
-        if not self.deps:
-            raise ValueError(f"project {self.project_id!r} has an empty itemset")
-
-
-def _local(tag: str) -> str:
-    # POMs usually carry the Maven namespace; compare by local name only.
-    return tag.rsplit("}", 1)[-1]
+    Text that does not decode raises ``error("name:line: ...")`` instead of a
+    bare codec error, so every reader names the input and the line.
+    """
+    try:
+        return read() if read is not None else Path(name).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(
+            f"{name}:{line_no}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from exc
 
 
 class KnowledgeBase:
-    """Entries plus the indexes `lookup` needs, single-writer while building."""
+    """Entries, the indexes `lookup` needs, and the ground-truth relations.
+
+    Single-writer while building; the relations are saved with the entries
+    and filter every later ingest (see `filter_against_ground_truth`).
+    """
 
     def __init__(self) -> None:
         self.entries: list[KbEntry] = []
-        self.itemsets: dict[str, ProjectItemset] = {}
         self.ground_truth: dict[Coordinate, set[Coordinate]] = {}
         self._seen: set[tuple[str, Coordinate]] = set()  # (rendered FQN, dep)
         self.by_simple_name: dict[str, list[KbEntry]] = {}
@@ -100,7 +96,7 @@ class KnowledgeBase:
         same listing a no-op.
         """
         added = 0
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_utf8(path, ListingError)
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -108,51 +104,10 @@ class KnowledgeBase:
             try:
                 entry = KbEntry.from_listing(line, dep)
             except ValueError as exc:
-                raise ListingError(str(path), line_no, str(exc)) from exc
+                raise ListingError(f"{path}:{line_no}: {exc}") from exc
             if self.add_entry(entry):
                 added += 1
         return added
-
-    def ingest_pom(self, path: str | Path) -> ProjectItemset:
-        """Extract the declared dependency set from a Maven POM."""
-        import xml.etree.ElementTree as ET  # only ingest reads XML; resolve never does
-
-        path = Path(path)
-        try:
-            tree = ET.parse(path)
-        except ET.ParseError as exc:
-            line, col = exc.position
-            offset = _byte_offset(path, line, col)
-            raise PomError(
-                f"{path}: XML parse error at byte {offset} (line {line}, column {col})"
-            ) from exc
-        root = tree.getroot()
-        if _local(root.tag) != "project":
-            raise PomError(f"{path}: root element is {_local(root.tag)!r}, expected 'project'")
-        deps: set[Coordinate] = set()
-        for holder in root:
-            if _local(holder.tag) != "dependencies":
-                continue
-            for index, node in enumerate(holder):
-                if _local(node.tag) != "dependency":
-                    continue
-                fields = {_local(child.tag): (child.text or "").strip() for child in node}
-                try:
-                    coordinate = Coordinate(
-                        fields["groupId"], fields["artifactId"], fields["version"]
-                    )
-                except KeyError as exc:
-                    raise PomError(
-                        f"{path}: dependency #{index + 1} is missing <{exc.args[0]}>"
-                    ) from exc
-                except ValueError as exc:
-                    raise PomError(f"{path}: dependency #{index + 1}: {exc}") from exc
-                deps.add(coordinate)
-        if not deps:
-            raise PomError(f"{path}: no dependencies declared, refusing an empty itemset")
-        itemset = ProjectItemset(str(path), frozenset(deps))
-        self.itemsets[itemset.project_id] = itemset
-        return itemset
 
     def ingest_ground_truth(self, path: str | Path) -> int:
         """Read ``g:a:v -> g2:a2:v2`` lines; returns new relations added.
@@ -160,7 +115,7 @@ class KnowledgeBase:
         A line ``g:a:v ->`` registers the left coordinate with no relations.
         """
         added = 0
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_utf8(path, GroundTruthError)
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -188,10 +143,12 @@ class KnowledgeBase:
 
         A version is known for (group, artifact) when that exact coordinate
         appears anywhere in the ground truth (as a key or inside a relation).
-        Entries for artifacts the ground truth has never seen are kept.
-        Returns the number of entries removed; running it twice removes
-        nothing the second time.
+        Entries for artifacts the ground truth has never seen are kept, so
+        without ground truth nothing is looked at.  Returns the number of
+        entries removed; running it twice removes nothing the second time.
         """
+        if not self.ground_truth:
+            return 0
         known: dict[tuple[str, str], set[str]] = {}
         for key, values in self.ground_truth.items():
             for coordinate in (key, *values):
@@ -240,21 +197,20 @@ class KnowledgeBase:
             "methods": counts[EntryKind.METHOD],
             "fields": counts[EntryKind.FIELD],
             "dependencies": len({entry.dep for entry in self.entries}),
-            "itemsets": len(self.itemsets),
         }
 
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write a deterministic dump: identical content, identical bytes."""
+        """Write a deterministic dump: identical content, identical bytes.
+
+        The end marker's middle count is always 0.  Older ``FQNKB v1`` dumps
+        counted project itemsets there; keeping the field keeps the layout,
+        and every dump without itemsets, byte-identical.
+        """
         entry_lines = sorted(
             f"dep={entry.dep.render()} {entry.listing_line()}" for entry in self.entries
         )
-        itemset_lines = []
-        for project_id in sorted(self.itemsets):
-            itemset = self.itemsets[project_id]
-            deps = "\t".join(sorted(d.render() for d in itemset.deps))
-            itemset_lines.append(f"itemset\t{project_id}\t{deps}")
         gt_lines = []
         for key in sorted(self.ground_truth):
             values = self.ground_truth[key]
@@ -262,8 +218,8 @@ class KnowledgeBase:
                 gt_lines.append(f"gt {key.render()} ->")
             for value in sorted(values):
                 gt_lines.append(f"gt {key.render()} -> {value.render()}")
-        lines = [FORMAT_STAMP, *entry_lines, *itemset_lines, *gt_lines]
-        lines.append(f"end {len(entry_lines)} {len(itemset_lines)} {len(gt_lines)}")
+        lines = [FORMAT_STAMP, *entry_lines, *gt_lines]
+        lines.append(f"end {len(entry_lines)} 0 {len(gt_lines)}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
@@ -274,13 +230,7 @@ class KnowledgeBase:
         to the same grammar as a class listing.  Coordinates are parsed once
         per distinct ``dep=`` text.
         """
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = exc.object.count(b"\n", 0, exc.start) + 1
-            raise KbLoadError(
-                f"{path}:{line_no}: not UTF-8 text (byte {exc.start}: {exc.reason})"
-            ) from exc
+        text = read_utf8(path, KbLoadError)
         lines = text.splitlines()
         if not lines or lines[0] != FORMAT_STAMP:
             found = lines[0] if lines else "<empty file>"
@@ -289,7 +239,7 @@ class KnowledgeBase:
             raise KbLoadError(f"{path}:{len(lines)}: missing end marker, file looks truncated")
         kb = cls()
         coordinates: dict[str, Coordinate] = {}  # dep= text -> parsed, once each
-        n_entries = n_itemsets = n_gt = 0
+        n_entries = n_gt = 0
         for line_no, line in enumerate(lines[1:-1], start=2):
             if line.startswith("dep="):
                 head, _, listing = line.partition(" ")
@@ -303,16 +253,6 @@ class KnowledgeBase:
                 if not kb.add_entry(entry):
                     raise KbLoadError(f"{path}:{line_no}: duplicate entry {listing!r}")
                 n_entries += 1
-            elif line.startswith("itemset\t"):
-                parts = line.split("\t")
-                if len(parts) < 3:
-                    raise KbLoadError(f"{path}:{line_no}: bad itemset line")
-                try:
-                    deps = frozenset(Coordinate.parse(p) for p in parts[2:])
-                    kb.itemsets[parts[1]] = ProjectItemset(parts[1], deps)
-                except ValueError as exc:
-                    raise KbLoadError(f"{path}:{line_no}: {exc}") from exc
-                n_itemsets += 1
             elif line.startswith("gt "):
                 body = line[3:]
                 left_text, arrow, right_text = body.partition(" ->")
@@ -332,7 +272,7 @@ class KnowledgeBase:
             counts = [int(n) for n in lines[-1].split()[1:]]
         except ValueError:
             counts = []
-        if counts != [n_entries, n_itemsets, n_gt]:
+        if counts != [n_entries, 0, n_gt]:
             raise KbLoadError(
                 f"{path}:{len(lines)}: end marker {lines[-1]!r} does not match body, "
                 "file looks truncated"
@@ -343,8 +283,3 @@ class KnowledgeBase:
 def variable_key(entry: KbEntry) -> str:
     """Solver variable of *entry*: ``dep:provider-FQN`` (see `KnowledgeBase.lookup`)."""
     return f"{entry.dep.render()}:{entry.provider_fqn}"
-
-
-def _byte_offset(path: Path, line: int, col: int) -> int:
-    data = path.read_bytes().splitlines(keepends=True)
-    return sum(len(chunk) for chunk in data[: line - 1]) + col

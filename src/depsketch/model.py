@@ -144,7 +144,7 @@ class KbEntry:
             raise ValueError(f"bad supertype: {self.supertype!r}")
 
     def render(self) -> str:
-        """Full FQN of this entry."""
+        """Full FQN of this entry (`Sketch.render` too, holes and all)."""
         if self.kind is EntryKind.TYPE:
             return f"{self.owner}.{self.name}"
         if self.kind is EntryKind.METHOD:
@@ -276,12 +276,7 @@ class Sketch:
     field_type: str = ""
     occurrences: list[Span] = field(default_factory=list)
 
-    def render(self) -> str:
-        if self.kind is EntryKind.TYPE:
-            return f"{self.owner}.{self.name}"
-        if self.kind is EntryKind.METHOD:
-            return f"{self.owner}.{self.name}({','.join(self.params)}){self.returns}"
-        return f"{self.owner}.{self.name}:{self.field_type}"
+    render = KbEntry.render  # the same three FQN shapes, with ``?`` for holes
 
     @property
     def has_holes(self) -> bool:

@@ -37,7 +37,6 @@ def kb_path(tmp_path, capsys):
             "--dep", "jdk:java8:8",
             "--classes", str(FIXTURES / "regexkit_classes.txt"),
             "--dep", "com.regexkit:regexkit:1.2",
-            "--pom", str(FIXTURES / "sample_pom.xml"),
             "--ground-truth", str(FIXTURES / "ground_truth.txt"),
         ]
     )
@@ -57,13 +56,12 @@ class TestIngest:
                 "--dep", "jdk:java8:8",
                 "--classes", str(FIXTURES / "regexkit_classes.txt"),
                 "--dep", "com.regexkit:regexkit:1.2",
-                "--pom", str(FIXTURES / "sample_pom.xml"),
                 "--ground-truth", str(FIXTURES / "ground_truth.txt"),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out.splitlines()
-        assert out == ["entries added: 10", "entries removed: 0", "itemsets: 1"]
+        assert out == ["entries added: 10", "entries removed: 0"]
         assert path.exists()
 
     def test_reingest_is_idempotent(self, kb_path, capsys):
@@ -77,6 +75,20 @@ class TestIngest:
         )
         assert code == 0
         assert "entries added: 0" in capsys.readouterr().out
+
+    def test_saved_ground_truth_filters_later_ingests(self, kb_path, tmp_path, capsys):
+        # the dump's gt lines say jdk:java8 is version 8, so a java8:99
+        # listing ingested later, without --ground-truth, is dropped too
+        stale = tmp_path / "stale.txt"
+        stale.write_text("T stale.pkg.Stale\n")
+        code = main(
+            ["ingest", "--kb", str(kb_path), "--classes", str(stale), "--dep", "jdk:java8:99"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "entries added: 1", "entries removed: 1",
+        ]
+        assert "stale.pkg.Stale" not in kb_path.read_text()
 
     def test_nothing_to_ingest(self, tmp_path, capsys):
         code = main(["ingest", "--kb", str(tmp_path / "kb.txt")])
@@ -93,17 +105,6 @@ class TestIngest:
         )
         assert code == 2
         assert "matching --dep" in capsys.readouterr().err
-
-    def test_broken_pom_diagnostic(self, tmp_path, capsys):
-        pom = tmp_path / "broken.xml"
-        pom.write_text("<project><dependencies></project>")
-        code = main(
-            ["ingest", "--kb", str(tmp_path / "kb.txt"), "--pom", str(pom)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "byte" in err
 
     def test_bad_coordinate_is_an_error(self, tmp_path, capsys):
         code = main(
@@ -280,6 +281,33 @@ class TestResolve:
         assert err.startswith(f"error: {kb}:2: ")
         assert "codec" not in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["ingest", "--kb", "{tmp}/kb.txt", "--classes", "{bad}", "--dep", "g:a:1"],
+            ["ingest", "--kb", "{tmp}/kb.txt", "--ground-truth", "{bad}"],
+            ["sketch", "{bad}"],
+        ],
+        ids=["ingest-classes", "ingest-ground-truth", "sketch"],
+    )
+    def test_non_utf8_input_exits_two_naming_it(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"# fine\n# \xff\n")
+        argv = [arg.format(tmp=tmp_path, bad=bad) for arg in command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:2: not UTF-8 text")
+        assert "codec" not in err
+
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_non_utf8_stdin_exits_two_naming_it(self, capsys, monkeypatch, errors):
+        # surrogateescape is how stdin decodes in UTF-8 mode
+        raw = io.BytesIO(b"int x = 1;\n// \xff\nint y = 2;\n")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8", errors=errors))
+        assert main(["sketch", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: <stdin>:2: not UTF-8 text")
+
     def test_bad_declared_coordinate(self, kb_path, capsys):
         code = main(
             [
@@ -307,7 +335,7 @@ class TestStatsAndUsage:
         code = main(["stats", "--kb", str(kb_path)])
         assert code == 0
         assert capsys.readouterr().out.strip() == (
-            "entries=10 types=6 methods=3 fields=1 dependencies=2 itemsets=1"
+            "entries=10 types=6 methods=3 fields=1 dependencies=2"
         )
 
     def test_stats_missing_kb(self, tmp_path, capsys):

@@ -266,13 +266,12 @@ class TestWrap:
     def test_freestanding(self, snippet_source):
         snippet = wrap(snippet_source)
         assert snippet.origin is Origin.FREESTANDING
-        assert snippet.wrapped_source == snippet.source == snippet_source
+        assert snippet.source == snippet_source
 
     def test_statements_get_wrapped(self):
         snippet = wrap("Pattern p = Pattern.compile(x);")
         assert snippet.origin is Origin.WRAPPED
-        assert snippet.source in snippet.wrapped_source
-        unit = parse_unit(snippet.wrapped_source)
+        unit = parse(snippet)
         assert unit.classes[0].name == "__Snippet"
 
     def test_empty_source_rejected(self):

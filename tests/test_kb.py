@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from depsketch import Coordinate, KnowledgeBase
-from depsketch.kb import GroundTruthError, KbLoadError, ListingError, PomError
+from depsketch.kb import GroundTruthError, KbLoadError, ListingError
 from depsketch.model import EntryKind, KbEntry, Sketch
 
 from conftest import DISTRACTOR, FIXTURES, JDK8, build_fixture_kb
@@ -159,61 +159,6 @@ def test_save_load_round_trip(entries, tmp_path_factory):
     assert path.read_bytes() == dump
 
 
-class TestPomIngestion:
-    def test_fixture_pom(self):
-        kb = KnowledgeBase()
-        itemset = kb.ingest_pom(FIXTURES / "sample_pom.xml")
-        assert itemset.deps == frozenset({JDK8, DISTRACTOR})
-        assert kb.itemsets[itemset.project_id] is itemset
-
-    def test_namespace_agnostic(self, tmp_path):
-        pom = tmp_path / "plain.xml"
-        pom.write_text(
-            "<project><dependencies><dependency>"
-            "<groupId>g</groupId><artifactId>a</artifactId><version>1</version>"
-            "</dependency></dependencies></project>"
-        )
-        itemset = KnowledgeBase().ingest_pom(pom)
-        assert itemset.deps == frozenset({Coordinate.parse("g:a:1")})
-
-    def test_broken_xml_reports_byte_offset(self, tmp_path):
-        pom = tmp_path / "broken.xml"
-        pom.write_text("<project><dependencies></project>")
-        with pytest.raises(PomError) as err:
-            KnowledgeBase().ingest_pom(pom)
-        assert "byte" in str(err.value)
-
-    def test_missing_version_named(self, tmp_path):
-        pom = tmp_path / "short.xml"
-        pom.write_text(
-            "<project><dependencies><dependency>"
-            "<groupId>g</groupId><artifactId>a</artifactId>"
-            "</dependency></dependencies></project>"
-        )
-        with pytest.raises(PomError) as err:
-            KnowledgeBase().ingest_pom(pom)
-        assert "<version>" in str(err.value)
-
-    def test_empty_dependency_list_rejected(self, tmp_path):
-        pom = tmp_path / "empty.xml"
-        pom.write_text("<project><dependencies></dependencies></project>")
-        with pytest.raises(PomError) as err:
-            KnowledgeBase().ingest_pom(pom)
-        assert "empty itemset" in str(err.value)
-
-    def test_wrong_root_rejected(self, tmp_path):
-        pom = tmp_path / "odd.xml"
-        pom.write_text("<settings></settings>")
-        with pytest.raises(PomError):
-            KnowledgeBase().ingest_pom(pom)
-
-    def test_duplicate_dependency_collapses(self, tmp_path):
-        pom = tmp_path / "dup.xml"
-        dep = "<dependency><groupId>g</groupId><artifactId>a</artifactId><version>1</version></dependency>"
-        pom.write_text(f"<project><dependencies>{dep}{dep}</dependencies></project>")
-        assert len(KnowledgeBase().ingest_pom(pom).deps) == 1
-
-
 class TestGroundTruth:
     def test_fixture_counts_relations(self):
         kb = KnowledgeBase()
@@ -262,7 +207,6 @@ class TestPersistence:
         ]
 
     def test_round_trip_preserves_lookups(self, fixture_kb, tmp_path):
-        fixture_kb.ingest_pom(FIXTURES / "sample_pom.xml")
         fixture_kb.ingest_ground_truth(FIXTURES / "ground_truth.txt")
         path = tmp_path / "kb.txt"
         fixture_kb.save(path)
@@ -307,13 +251,13 @@ class TestPersistence:
             (["dep=g:a:1 T a.b.C", "dep=g:a:1 T a.b.C", "end 2 0 0"], 3, "duplicate entry"),
             (["dep=g:a:1 T a.b.C", "dep=g:a T a.b.D", "end 2 0 0"], 3, "group:artifact:version"),
             (["dep=g:a:1 T a.b.C", "end 2 0 0"], 3, "does not match body"),
-            (["itemset\tproject", "end 0 1 0"], 2, "bad itemset line"),
-            (["itemset\tproject\tg:a", "end 0 1 0"], 2, "group:artifact:version"),
+            (["dep=g:a:1 T a.b.C", "end 1 1 0"], 3, "does not match body"),
+            (["itemset\tproject\tg:a:1", "end 0 0 0"], 2, "unrecognized line"),
             (["dep=g:a:1 T a.b.C\t<: Object", "end 1 0 0"], 2, "bad supertype"),
         ],
         ids=[
             "malformed-entry", "duplicate-entry", "bad-dep", "end-count-mismatch",
-            "short-itemset", "bad-itemset-coordinate", "bad-supertype",
+            "nonzero-middle-count", "itemset-line", "bad-supertype",
         ],
     )
     def test_bad_line_names_path_and_line(self, tmp_path, body, line_no, reason):
@@ -330,6 +274,22 @@ class TestPersistence:
         with pytest.raises(KbLoadError) as err:
             KnowledgeBase.load(path)
         assert str(err.value).startswith(f"{path}:2: ")
+        assert "UTF-8" in str(err.value)
+
+    @pytest.mark.parametrize(
+        ("ingest", "error"),
+        [
+            (lambda kb, path: kb.ingest_class_listing(path, JDK8), ListingError),
+            (KnowledgeBase.ingest_ground_truth, GroundTruthError),
+        ],
+        ids=["listing", "ground-truth"],
+    )
+    def test_non_utf8_ingest_names_path(self, tmp_path, ingest, error):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"# fine\n\n# \xff\n")
+        with pytest.raises(error) as err:
+            ingest(KnowledgeBase(), path)
+        assert str(err.value).startswith(f"{path}:3: ")
         assert "UTF-8" in str(err.value)
 
     def test_dump_keeps_listing_whitespace_rules(self, tmp_path):
@@ -350,7 +310,6 @@ class TestStats:
             "methods": 3,
             "fields": 1,
             "dependencies": 2,
-            "itemsets": 0,
         }
 
     def test_empty_kb(self):
@@ -360,5 +319,4 @@ class TestStats:
             "methods": 0,
             "fields": 0,
             "dependencies": 0,
-            "itemsets": 0,
         }
