@@ -27,6 +27,10 @@ from ..model import PRIMITIVES, Span
 from .lexer import JavaSyntaxError, MODIFIER_KEYWORDS, Token, tokenize
 
 _ZERO = Span(1, 1, 1, 1)
+# Deepest nesting of parentheses, argument lists, unary operators, blocks
+# and if/while/for bodies; each level costs up to about 12 interpreter
+# frames, so this stays well inside the default recursion limit.
+MAX_NESTING = 64
 
 
 # -- AST ---------------------------------------------------------------------
@@ -214,6 +218,7 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -233,6 +238,16 @@ class _Parser:
         return JavaSyntaxError(
             f"{message}, found {found}", token.line, token.col, frozenset(expected)
         )
+
+    def nest(self, opening: Token) -> None:
+        """Enter one nesting level; the caller leaves it with ``depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise JavaSyntaxError(
+                f"nesting deeper than {MAX_NESTING} levels is not supported",
+                opening.line,
+                opening.col,
+            )
 
     def expect(self, text: str) -> Token:
         if not self.at(text):
@@ -360,12 +375,14 @@ class _Parser:
 
     def _block(self) -> Block:
         start = self.expect("{")
+        self.nest(start)
         statements = []
         while not self.at("}"):
             if self.peek().kind == "eof":
                 raise self.error("unexpected end of block", expected={"}"})
             statements.append(self._statement())
         self.expect("}")
+        self.depth -= 1
         return Block(statements, start.span)
 
     def _statement(self):
@@ -441,6 +458,7 @@ class _Parser:
 
     def _if_stmt(self) -> IfStmt:
         start = self.expect("if")
+        self.nest(start)
         self.expect("(")
         cond = self._expression()
         self.expect(")")
@@ -449,17 +467,22 @@ class _Parser:
         if self.at("else"):
             self.advance()
             else_branch = self._statement()
+        self.depth -= 1
         return IfStmt(cond, then_branch, else_branch, start.span)
 
     def _while_stmt(self) -> WhileStmt:
         start = self.expect("while")
+        self.nest(start)
         self.expect("(")
         cond = self._expression()
         self.expect(")")
-        return WhileStmt(cond, self._statement(), start.span)
+        body = self._statement()
+        self.depth -= 1
+        return WhileStmt(cond, body, start.span)
 
     def _for_stmt(self) -> ForStmt:
         start = self.expect("for")
+        self.nest(start)
         self.expect("(")
         init = None
         if not self.at(";"):
@@ -476,7 +499,9 @@ class _Parser:
         self.expect(";")
         update = None if self.at(")") else self._expr_or_assign(consume_semi=False)
         self.expect(")")
-        return ForStmt(init, cond, update, self._statement(), start.span)
+        body = self._statement()
+        self.depth -= 1
+        return ForStmt(init, cond, update, body, start.span)
 
     # -- expressions --
 
@@ -502,7 +527,10 @@ class _Parser:
         token = self.peek()
         if token.kind == "punct" and token.text in ("!", "-"):
             self.advance()
-            return Unary(token.text, self._unary(), token.span)
+            self.nest(token)
+            operand = self._unary()
+            self.depth -= 1
+            return Unary(token.text, operand, token.span)
         return self._postfix()
 
     def _postfix(self):
@@ -547,22 +575,24 @@ class _Parser:
                 return MethodCall(None, token.text, args, token.span)
             return Identifier(token.text, token.span)
         if self.at("("):
-            self.advance()
+            self.nest(self.advance())
             expr = self._expression()
             self.expect(")")
+            self.depth -= 1
             return expr
         if self.at("@"):
             raise self.error("annotations are not supported")
         raise self.error("expected an expression", expected={"<expression>"})
 
     def _arguments(self) -> list:
-        self.expect("(")
+        self.nest(self.expect("("))
         args = []
         while not self.at(")"):
             if args:
                 self.expect(",")
             args.append(self._expression())
         self.expect(")")
+        self.depth -= 1
         return args
 
 

@@ -58,6 +58,9 @@ class KnowledgeBase:
         self.by_simple_name: dict[str, list[KbEntry]] = {}
         self.by_method_key: dict[tuple[str, int], list[KbEntry]] = {}
         self.by_field_name: dict[str, list[KbEntry]] = {}
+        # Index bucket -> its entries with their variable keys, sorted the
+        # way `lookup` returns them; filled on first use, cleared on change.
+        self._sorted_buckets: dict[tuple[EntryKind, object], list[tuple[KbEntry, str]]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -68,6 +71,8 @@ class KnowledgeBase:
         seen.add((entry.render(), entry.dep))  # add, then compare sizes: one hash
         if len(seen) == size:
             return False
+        if self._sorted_buckets:
+            self._sorted_buckets.clear()
         self.entries.append(entry)
         if entry.kind is EntryKind.TYPE:
             self.by_simple_name.setdefault(entry.name, []).append(entry)
@@ -85,6 +90,7 @@ class KnowledgeBase:
         self.by_method_key = {}
         self.by_field_name = {}
         self._seen = set()
+        self._sorted_buckets = {}
         for entry in entries:
             self.add_entry(entry)
 
@@ -175,17 +181,21 @@ class KnowledgeBase:
         The variable key is ``dep:provider-FQN``: the same dependency/type
         pair gets the same key no matter which sketch retrieved it, so one
         selection can cover a type sketch and the member sketches it serves.
-        Results are sorted by key, then by entry FQN.
+        Results are sorted by key, then by entry FQN: each index bucket is
+        sorted once, on its first lookup, and later lookups only filter it.
         """
-        if sketch.kind is EntryKind.TYPE:
-            pool = self.by_simple_name.get(sketch.name, [])
-        elif sketch.kind is EntryKind.METHOD:
-            pool = self.by_method_key.get((sketch.name, len(sketch.params)), [])
+        kind = sketch.kind
+        if kind is EntryKind.METHOD:
+            index, key = self.by_method_key, (sketch.name, len(sketch.params))
         else:
-            pool = self.by_field_name.get(sketch.name, [])
-        found = [(entry, variable_key(entry)) for entry in pool if matches(sketch, entry)]
-        found.sort(key=lambda pair: (pair[1], pair[0].render()))
-        return found
+            index = self.by_simple_name if kind is EntryKind.TYPE else self.by_field_name
+            key = sketch.name
+        pool = self._sorted_buckets.get((kind, key))
+        if pool is None:
+            pool = [(entry, variable_key(entry)) for entry in index.get(key, ())]
+            pool.sort(key=lambda pair: (pair[1], pair[0].render()))
+            self._sorted_buckets[kind, key] = pool
+        return [pair for pair in pool if matches(sketch, pair[0])]
 
     def stats(self) -> dict[str, int]:
         counts = {kind: 0 for kind in EntryKind}

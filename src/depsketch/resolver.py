@@ -9,7 +9,9 @@ type sketch offers, unit propagation does the rest, and the import list
 falls out of the chosen variables directly.
 
 Weights are 1 per variable, 0 when the variable's dependency was declared
-by the caller, so solutions reuse what the project already has.  A
+by the caller, so solutions reuse what the project already has.  Each
+dependency is one solver group, so among covers of equal weight the solver
+prefers fewer distinct dependencies, then the sorted variable keys.  A
 feasibility predicate forbids mixing two versions of one artifact.
 """
 
@@ -84,6 +86,11 @@ def build_problem(
     index_of: dict[str, int] = {}
     names: list[str] = []
     deps: list[Coordinate] = []
+    weights: list[int] = []
+    groups: list[int] = []
+    group_of: dict[Coordinate, int] = {}  # one group per distinct dependency
+    group_weight: list[int] = []
+    last_dep = group = None
     clauses: list[set[int]] = []
     tables: list[_Candidates] = []
     builtins: list[str] = []
@@ -100,12 +107,22 @@ def build_problem(
         table = _Candidates(sketch)
         clause: set[int] = set()
         for entry, key in found:
-            if key not in index_of:
-                index_of[key] = len(names)
+            index = index_of.get(key)
+            if index is None:
+                index = index_of[key] = len(names)
                 names.append(key)
-                deps.append(entry.dep)
-            table.entries.append((index_of[key], entry))
-            clause.add(index_of[key])
+                dep = entry.dep
+                if dep is not last_dep:  # keys sort by dependency first
+                    last_dep = dep
+                    group = group_of.get(dep)
+                    if group is None:
+                        group = group_of[dep] = len(group_weight)
+                        group_weight.append(0 if dep in declared else 1)
+                deps.append(dep)
+                groups.append(group)
+                weights.append(group_weight[group])
+            table.entries.append((index, entry))
+            clause.add(index)
         clauses.append(clause)
         tables.append(table)
 
@@ -116,30 +133,27 @@ def build_problem(
             "the knowledge base cannot cover any sketch in this snippet "
             f"(first unresolved: {genuine[0]})"
         )
-    weights = [0 if dep in declared else 1 for dep in deps]
-    problem = CoveringProblem(len(names), clauses, weights)
+    problem = CoveringProblem(len(names), clauses, weights, groups=groups)
     return problem, names, deps, tables, builtins, unresolved
 
 
-def _feasible_versions(deps: list[Coordinate]):
+def _feasible_versions(deps: list[Coordinate], groups: tuple[int, ...]):
+    # Each group is one dependency, and two dependencies of one artifact
+    # differ in version: a set is feasible when its groups' artifacts differ.
+    artifact = {group: (dep.group, dep.artifact) for group, dep in dict(zip(groups, deps)).items()}
+
     def feasible(chosen: frozenset[int]) -> bool:
-        picked: dict[tuple[str, str], str] = {}
-        for var in chosen:
-            dep = deps[var]
-            if picked.setdefault((dep.group, dep.artifact), dep.version) != dep.version:
-                return False
-        return True
+        picked = {groups[var] for var in chosen}
+        return len(picked) == len({artifact[group] for group in picked})
 
     return feasible
 
 
-def _tie_key(names: list[str], deps: list[Coordinate]):
-    # Fewer distinct dependencies first, then lexicographic variable keys.
+def _tie_key(names: list[str]):
+    # Lexicographic variable keys; fewer distinct dependencies is the
+    # solver's own groups count, ranked before this.
     def key(chosen: frozenset[int]) -> tuple:
-        return (
-            len({deps[var].render() for var in chosen}),
-            tuple(sorted(names[var] for var in chosen)),
-        )
+        return tuple(sorted(names[var] for var in chosen))
 
     return key
 
@@ -169,8 +183,8 @@ def resolve(
         )
     model = solve_min(
         problem,
-        feasible=_feasible_versions(deps),
-        tie_key=_tie_key(names, deps),
+        feasible=_feasible_versions(deps, problem.groups),
+        tie_key=_tie_key(names),
     )
 
     bindings: list[Binding] = []

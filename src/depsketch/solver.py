@@ -2,14 +2,25 @@
 
 A problem is a conjunction of positive clauses: each clause lists variable
 ids of which at least one must be true.  The goal is a satisfying set of
-true variables with minimal total weight; the empty clause is therefore
-unsatisfiable by construction and rejected up front.
+true variables ranked by one key, smallest first:
+
+    (total weight, distinct groups, tie_key(set), sorted ids)
+
+Each variable belongs to a group (the resolver's groups are dependencies);
+without groups every variable shares group 0 and the second part never
+separates two models.  The empty clause is unsatisfiable by construction
+and rejected up front.
 
 ``solve_min`` is the production path: unit-clause preprocessing followed by
-branch and bound over the remaining clauses.  ``brute_force_min`` is an
-independent oracle that enumerates candidate sets directly; the two agree
-on cost for every input and on the chosen set whenever weights are
-positive.  Keep them separate, the tests compare one against the other.
+branch and bound over the remaining clauses on an explicit stack.  It
+prunes a node when a lower bound on the first two parts of the key of every
+model below it is already greater than the best model's; the bounds come
+from greedy sets of pairwise-disjoint uncovered clauses (Coudert, "On
+Solving Covering Problems", DAC 1996).  ``brute_force_min`` is an
+independent oracle that enumerates candidate sets directly and ranks them
+by the same key; the two agree on cost for every input and on the chosen
+set whenever weights are positive.  Keep them separate, the tests compare
+one against the other.
 """
 
 from __future__ import annotations
@@ -37,13 +48,18 @@ class InfeasibleError(SolverError):
 
 @dataclass(frozen=True)
 class CoveringProblem:
-    """Positive clauses over ``num_vars`` variables, with optional weights
-    and a set of variables forced true before the search starts."""
+    """Positive clauses over ``num_vars`` variables, with optional weights,
+    groups, and a set of variables forced true before the search starts.
+
+    ``groups[v]`` is the group of variable ``v``, a number below
+    ``num_vars``; by default all variables share group 0.
+    """
 
     num_vars: int
     clauses: tuple[frozenset[int], ...]
     weights: tuple[int, ...] = ()
     forced: frozenset[int] = frozenset()
+    groups: tuple[int, ...] = ()
 
     def __init__(
         self,
@@ -51,17 +67,23 @@ class CoveringProblem:
         clauses: Iterable[Iterable[int]],
         weights: Iterable[int] = (),
         forced: Iterable[int] = (),
+        groups: Iterable[int] = (),
     ):
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "clauses", tuple(frozenset(c) for c in clauses))
         object.__setattr__(self, "weights", tuple(weights) or (1,) * num_vars)
         object.__setattr__(self, "forced", frozenset(forced))
+        object.__setattr__(self, "groups", tuple(groups) or (0,) * num_vars)
         if num_vars < 0:
             raise ValueError("negative variable count")
         if len(self.weights) != num_vars:
             raise ValueError(f"expected {num_vars} weights, got {len(self.weights)}")
-        if any(w < 0 for w in self.weights):
+        if num_vars and min(self.weights) < 0:
             raise ValueError("weights must be non-negative")
+        if len(self.groups) != num_vars:
+            raise ValueError(f"expected {num_vars} groups, got {len(self.groups)}")
+        if num_vars and not (min(self.groups) >= 0 and max(self.groups) < num_vars):
+            raise ValueError(f"groups must lie in [0, {num_vars})")
         for clause in self.clauses:
             if not clause:
                 raise EmptyClauseError("a clause with no candidates cannot be covered")
@@ -69,12 +91,15 @@ class CoveringProblem:
         self._check_range(self.forced)
 
     def _check_range(self, variables: frozenset[int]) -> None:
-        for var in variables:
-            if not 0 <= var < self.num_vars:
-                raise ValueError(f"variable {var} out of range [0, {self.num_vars})")
+        if variables and (min(variables) < 0 or max(variables) >= self.num_vars):
+            var = next(v for v in variables if not 0 <= v < self.num_vars)
+            raise ValueError(f"variable {var} out of range [0, {self.num_vars})")
 
     def cost(self, variables: Iterable[int]) -> int:
         return sum(self.weights[v] for v in variables)
+
+    def group_count(self, variables: Iterable[int]) -> int:
+        return len({self.groups[v] for v in variables})
 
 
 @dataclass(frozen=True)
@@ -100,13 +125,14 @@ def preprocess(problem: CoveringProblem) -> CoveringProblem:
         if len(clause) == 1:
             forced.update(clause)
     remaining = tuple(c for c in live if not (c & forced))
-    return CoveringProblem(problem.num_vars, remaining, problem.weights, forced)
+    return CoveringProblem(problem.num_vars, remaining, problem.weights, forced, problem.groups)
 
 
-def _score(problem: CoveringProblem, variables: set[int], tie_key: TieKey | None) -> tuple:
-    key: tuple = (problem.cost(variables),)
+def _score(problem: CoveringProblem, variables: frozenset[int], tie_key: TieKey | None) -> tuple:
+    """The ranking key of a model; both solvers keep its minimum."""
+    key: tuple = (problem.cost(variables), problem.group_count(variables))
     if tie_key is not None:
-        key += (tie_key(frozenset(variables)),)
+        key += (tie_key(variables),)
     return key + (tuple(sorted(variables)),)
 
 
@@ -116,41 +142,105 @@ def solve_min(
     feasible: Feasible | None = None,
     tie_key: TieKey | None = None,
 ) -> Model:
-    """Cheapest satisfying set, ties broken by ``tie_key`` then variable ids.
+    """The model with the smallest ranking key (see the module docstring).
 
     ``feasible`` must be anti-monotone (infeasible sets stay infeasible when
     grown); it prunes branches and raises ``InfeasibleError`` when nothing
-    passes.  Branching excludes already-tried variables per level, so each
-    minimal cover is visited exactly once.
+    passes.  ``tie_key`` is called once per scored leaf.
+
+    The search branches on the smallest uncovered clause, one child per
+    variable; a child excludes its siblings with smaller ids, so each
+    minimal cover is visited once.  A node is pruned when a lower bound on
+    ``(cost, groups)`` of every model below it is strictly greater than the
+    best model's: the cost bound adds to the cost so far the cheapest weight
+    of each clause in a greedy set of pairwise-disjoint uncovered clauses,
+    and the groups bound adds to the groups so far one per uncovered clause
+    in a greedy set whose groups are new and pairwise disjoint.  Exact ties
+    are never pruned, so they still reach ``tie_key``.
+
+    Which children exist does not depend on the order they are explored
+    in, so the answer does not either (it matters when zero weights let a
+    model hold a variable it does not need).  Children likeliest to be best
+    go first: cheapest, then in a group already picked, then in the group
+    that can cover the most clauses; a one-group model is then usually the
+    first leaf and bounds the rest.  Nodes live on an explicit stack, so the
+    depth is not limited by the interpreter's recursion limit.
     """
     pre = preprocess(problem)
     if feasible is not None and not feasible(pre.forced):
         raise InfeasibleError("the forced choices already conflict")
 
-    best: tuple | None = None
+    weights, groups = problem.weights, problem.groups
+    # Sorted once, smallest first: the branching clause is then always the
+    # first uncovered one, and the greedy bounds take small clauses first.
+    clauses = sorted(pre.clauses, key=lambda c: (len(c), sorted(c)))
+    ascending = [sorted(c) for c in clauses]
+    cheapest = [min(weights[v] for v in c) for c in clauses]
+    group_sets = [{groups[v] for v in c} for c in clauses]
+    clause_groups = [sum(1 << g for g in found) for found in group_sets]
+    reach = [0] * problem.num_vars  # group -> live clauses it can cover
+    for found in group_sets:
+        for group in found:
+            reach[group] += 1
+
+    def bounds(uncovered, picked: int) -> tuple[int, int]:
+        """Least cost still to pay and least groups in all, over every model
+        below: greedy sets of uncovered clauses pairwise disjoint in
+        variables, and in groups (counting the picked ones as taken)."""
+        used: set[int] = set()
+        cost, taken, count = 0, picked, picked.bit_count()
+        for index in uncovered:
+            if used.isdisjoint(clauses[index]):
+                used.update(clauses[index])
+                cost += cheapest[index]
+            if not clause_groups[index] & taken:
+                taken |= clause_groups[index]
+                count += 1
+        return cost, count
+
+    best: tuple | None = None  # the key of best_vars; best[:2] is (cost, groups)
     best_vars: frozenset[int] | None = None
-
-    def search(chosen: frozenset[int], blocked: frozenset[int], uncovered: list[frozenset[int]]) -> None:
-        nonlocal best, best_vars
-        if best is not None and problem.cost(pre.forced | chosen) > best[0]:
-            return
-        if not uncovered:
-            candidate = set(pre.forced | chosen)
-            key = _score(problem, candidate, tie_key)
-            if best is None or key < best:
-                best, best_vars = key, frozenset(candidate)
-            return
-        clause = min(uncovered, key=lambda c: (len(c), sorted(c)))
-        tried: set[int] = set()
-        for var in sorted(clause):
-            if var in blocked:
+    cost = problem.cost(pre.forced)
+    picked = sum(1 << g for g in {groups[v] for v in pre.forced})
+    # A node: the variable it adds (None at the root), the parent's set,
+    # cost, group mask and uncovered clauses, the variables it may not use,
+    # and a lower bound on the cost of every model below it.
+    stack: list[tuple] = [(None, pre.forced, cost, picked, range(len(clauses)), 0, cost)]
+    while stack:
+        var, chosen, cost, picked, uncovered, blocked, low = stack.pop()
+        if var is not None:
+            cost += weights[var]
+            picked |= 1 << groups[var]
+            if best is not None and (low, picked.bit_count()) > best[:2]:
                 continue
-            extended = chosen | {var}
-            if feasible is None or feasible(pre.forced | extended):
-                search(extended, blocked | tried, [c for c in uncovered if var not in c])
-            tried.add(var)
+            chosen = chosen | {var}
+            uncovered = [index for index in uncovered if var not in clauses[index]]
+        to_pay, least_groups = bounds(uncovered, picked)
+        if best is not None and (max(low, cost + to_pay), least_groups) > best[:2]:
+            continue
+        if var is not None and feasible is not None and not feasible(chosen):
+            continue
+        if not uncovered:
+            key = _score(problem, chosen, tie_key)
+            if best is None or key < best:
+                best, best_vars = key, chosen
+            continue
+        first = uncovered[0]
+        # The greedy set starts with the branching clause, and a child's
+        # variable lies in no other clause of it: those stay uncovered below
+        # the child, which inherits their bound plus its own weight.
+        base = cost + to_pay - cheapest[first]
+        children = []
+        for v in ascending[first]:
+            if not blocked >> v & 1:
+                children.append((v, chosen, cost, picked, uncovered, blocked, base + weights[v]))
+                blocked |= 1 << v
 
-    search(frozenset(), frozenset(), list(pre.clauses))
+        def promise(child: tuple) -> tuple:
+            v = child[0]
+            return (weights[v], not picked >> groups[v] & 1, -reach[groups[v]], v)
+
+        stack.extend(sorted(children, key=promise, reverse=True))  # best on top
     if best_vars is None:
         raise InfeasibleError("no cover satisfies the constraints")
     return Model(best_vars, problem.cost(best_vars))
@@ -164,13 +254,13 @@ def brute_force_min(
 ) -> Model:
     """Reference answer by direct enumeration; capped at 25 variables.
 
-    Uniform weights enumerate by cardinality and stop at the first covering
-    size; otherwise every subset is scored.  Agreement with ``solve_min`` on
-    the chosen set is guaranteed for positive weights.
+    Uniform positive weights enumerate by cardinality and stop at the first
+    covering size; otherwise every subset is scored.  Agreement with
+    ``solve_min`` on the chosen set is guaranteed for positive weights.
     """
     if problem.num_vars > _BRUTE_FORCE_CAP:
         raise SolverError(f"brute force is capped at {_BRUTE_FORCE_CAP} variables")
-    if len(set(problem.weights)) <= 1:
+    if len(set(problem.weights)) <= 1 and 0 not in problem.weights:
         model = _brute_uniform(problem, feasible, tie_key)
     else:
         model = _brute_general(problem, feasible, tie_key)
@@ -179,7 +269,7 @@ def brute_force_min(
     return model
 
 
-def _covers(problem: CoveringProblem, variables: set[int]) -> bool:
+def _covers(problem: CoveringProblem, variables: frozenset[int]) -> bool:
     return all(clause & variables for clause in problem.clauses)
 
 
@@ -190,12 +280,12 @@ def _brute_uniform(
     for extra in range(len(free) + 1):
         hits = []
         for combo in combinations(free, extra):
-            candidate = set(problem.forced) | set(combo)
-            if _covers(problem, candidate) and (feasible is None or feasible(frozenset(candidate))):
+            candidate = problem.forced.union(combo)
+            if _covers(problem, candidate) and (feasible is None or feasible(candidate)):
                 hits.append(candidate)
         if hits:
             best = min(hits, key=lambda c: _score(problem, c, tie_key))
-            return Model(frozenset(best), problem.cost(best))
+            return Model(best, problem.cost(best))
     return None
 
 
@@ -205,21 +295,21 @@ def _brute_general(
     clause_masks = [sum(1 << v for v in clause) for clause in problem.clauses]
     forced_mask = sum(1 << v for v in problem.forced)
     best: tuple | None = None
-    best_set: set[int] | None = None
+    best_set: frozenset[int] | None = None
     for mask in range(1 << problem.num_vars):
         if mask & forced_mask != forced_mask:
             continue
         if any(not mask & clause_mask for clause_mask in clause_masks):
             continue
-        candidate = {v for v in range(problem.num_vars) if mask >> v & 1}
-        if feasible is not None and not feasible(frozenset(candidate)):
+        candidate = frozenset(v for v in range(problem.num_vars) if mask >> v & 1)
+        if feasible is not None and not feasible(candidate):
             continue
         key = _score(problem, candidate, tie_key)
         if best is None or key < best:
             best, best_set = key, candidate
     if best_set is None:
         return None
-    return Model(frozenset(best_set), problem.cost(best_set))
+    return Model(best_set, problem.cost(best_set))
 
 
 def check(problem: CoveringProblem, true_vars: frozenset[int]) -> bool:

@@ -96,6 +96,22 @@ def test_criterion_2_solver_matches_oracle(problem_corpus):
     )
 
 
+def test_criterion_2_solver_matches_oracle_with_groups(problem_corpus):
+    # the same corpus, each problem's variables dealt into seeded groups
+    rng = random.Random(CORPUS_SEED + 2)
+    disagreements = 0
+    for problem in problem_corpus:
+        groups = [rng.randrange(min(problem.num_vars, 4)) for _ in range(problem.num_vars)]
+        grouped = CoveringProblem(problem.num_vars, problem.clauses, groups=groups)
+        if solve_min(grouped) != brute_force_min(grouped):
+            disagreements += 1
+    assert disagreements == 0
+    print(
+        f"criterion 2 PASS: solver and oracle agree on all "
+        f"{len(problem_corpus)} random problems with groups"
+    )
+
+
 def test_criterion_3_preprocessing_soundness(problem_corpus):
     for problem in problem_corpus:
         assert solve_min(preprocess(problem)) == solve_min(problem)

@@ -158,6 +158,15 @@ class TestSketch:
         assert code == 2
         assert "1:9" in capsys.readouterr().err
 
+    def test_deep_nesting_exits_two(self, capsys, monkeypatch):
+        source = "int x = " + "(" * 300 + "1" + ")" * 300 + ";"
+        monkeypatch.setattr("sys.stdin", io.StringIO(source))
+        code = main(["sketch", "-"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: 1:73: nesting deeper than 64 levels is not supported\n"
+        )
+
 
 class TestResolve:
     def test_machine_report_validates(self, kb_path, capsys):

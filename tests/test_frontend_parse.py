@@ -262,6 +262,67 @@ class TestParseStatements:
         assert "declarations are not allowed inside a snippet body" in err.value.reason
 
 
+class TestNestingLimit:
+    def test_300_nested_parentheses_rejected_at_the_opening_paren(self):
+        source = "int x = " + "(" * 300 + "1" + ")" * 300 + ";"
+        with pytest.raises(JavaSyntaxError) as err:
+            parse_statements(source)
+        assert "nesting deeper than 64 levels" in err.value.reason
+        assert (err.value.line, err.value.col) == (1, 9 + 64)
+
+    def test_300_nested_blocks_rejected_at_the_opening_brace(self):
+        source = "{\n" * 300 + "}\n" * 300
+        with pytest.raises(JavaSyntaxError) as err:
+            wrap(source)
+        assert "nesting deeper than 64 levels" in err.value.reason
+        assert (err.value.line, err.value.col) == (65, 1)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "-" * 300 + "x;",
+            "f(" * 300 + ")" * 300 + ";",
+            "if (x) " * 300 + ";",
+            "while (x) " * 300 + ";",
+            "for (;;) " * 300 + ";",
+        ],
+        ids=["unary", "arguments", "if", "while", "for"],
+    )
+    def test_other_deep_nesting_is_a_syntax_error(self, source):
+        with pytest.raises(JavaSyntaxError) as err:
+            parse_statements(source)
+        assert "nesting deeper than" in err.value.reason
+
+    def test_50_levels_still_parse(self):
+        expr = self.stmt("int x = " + "(" * 50 + "1" + ")" * 50 + ";").init
+        assert expr == Literal("int", "1", expr.span)
+        inner = parse_statements("{" * 50 + "x = 1;" + "}" * 50)[0]
+        for _ in range(49):
+            inner = inner.statements[0]
+        assert isinstance(inner.statements[0], AssignStmt)
+        parse_statements("-" * 50 + "x;")
+        parse_statements("f(" * 50 + ")" * 50 + ";")
+
+    def test_deepest_allowed_nesting_fits_the_stack(self):
+        # argument lists cost the most frames per level, in the parser and
+        # in analysis; the limit itself must still sketch
+        from depsketch.frontend import sketch_source
+        from depsketch.frontend.parser import MAX_NESTING
+
+        source = "s.f(" * MAX_NESTING + ")" * MAX_NESTING + ";"
+        _, analysis = sketch_source("String s = null; " + source)
+        assert analysis.sketches
+
+    def test_limit_is_per_nesting_not_per_snippet(self):
+        deep = "(" * 60 + "1" + ")" * 60
+        assert len(parse_statements(f"int x = {deep}; int y = {deep};")) == 2
+
+    @staticmethod
+    def stmt(source: str):
+        (statement,) = parse_statements(source)
+        return statement
+
+
 class TestWrap:
     def test_freestanding(self, snippet_source):
         snippet = wrap(snippet_source)

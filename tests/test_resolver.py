@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import depsketch.resolver as resolver_module
 from depsketch import KnowledgeBase, emit_patch, resolve
 from depsketch.frontend import JavaSyntaxError
 from depsketch.kb import variable_key
@@ -240,6 +243,81 @@ class TestChoiceRules:
         assert helped.cost == 0
         assert hindered.cost <= plain.cost
         assert hindered.dependencies == ["jdk:java8:8"]
+
+
+@pytest.fixture
+def scored_leaves(monkeypatch) -> list[frozenset[int]]:
+    """The sets `resolve` scores, counted through the tie key it passes."""
+    leaves: list[frozenset[int]] = []
+    solve_min = resolver_module.solve_min
+
+    def counting(problem, *, feasible=None, tie_key=None):
+        def counted(chosen):
+            leaves.append(chosen)
+            return tie_key(chosen)
+
+        return solve_min(problem, feasible=feasible, tie_key=counted)
+
+    monkeypatch.setattr(resolver_module, "solve_min", counting)
+    return leaves
+
+
+def _two_artifacts(n: int) -> tuple[KnowledgeBase, str]:
+    # Every name offered by both artifacts: 2^n covers of equal cost.
+    kb = KnowledgeBase()
+    for coord in ("org.left:left:1", "org.right:right:1"):
+        package = coord.split(":")[0]
+        for i in range(n):
+            kb.add_entry(KbEntry.from_listing(f"T {package}.Name{i}", Coordinate.parse(coord)))
+    return kb, "".join(f"Name{i} v{i} = null;\n" for i in range(n))
+
+
+def _shared_names(k: int, seed: int) -> tuple[KnowledgeBase, str, str]:
+    """k names each offered by 6, 8 or 10 of 60 versions; one planted
+    version offers all k, and no other version does."""
+    rng = random.Random(seed)
+    coords = [f"org.shared{a:02d}:lib{a:02d}:{v}" for a in range(20) for v in ("1.0", "1.1", "2.0")]
+    planted = coords[rng.randrange(len(coords))]
+    others = [coord for coord in coords if coord != planted]
+    names = [f"Item{i:02d}" for i in range(k)]
+    offered = {coord: [] for coord in coords}
+    for i, name in enumerate(names):
+        for coord in [planted, *rng.sample(others, (6, 8, 10)[i % 3] - 1)]:
+            offered[coord].append(name)
+    assert [c for c, found in offered.items() if len(found) == k] == [planted]
+    kb = KnowledgeBase()
+    for coord, found in offered.items():
+        package = coord.split(":")[0]
+        for name in found:
+            dep = Coordinate.parse(coord)
+            kb.add_entry(KbEntry.from_listing(f"T {package}.{name}", dep))
+            kb.add_entry(KbEntry.from_listing(f"M {package}.{name}.run(java.lang.String)void", dep))
+    source = "".join(f'{name} v{i} = null;\nv{i}.run("x");\n' for i, name in enumerate(names))
+    return kb, source, planted
+
+
+class TestTiedCovers:
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_two_artifacts_offering_every_name(self, n, scored_leaves):
+        kb, source = _two_artifacts(n)
+        resolution = resolve(source, kb)
+        assert resolution.dependencies == ["org.left:left:1"]
+        assert resolution.cost == n
+        assert len(scored_leaves) <= 4
+
+    def test_deep_snippet_needs_no_recursion(self, scored_leaves):
+        kb, source = _two_artifacts(1500)
+        resolution = resolve(source, kb)
+        assert resolution.dependencies == ["org.left:left:1"]
+        assert len(scored_leaves) <= 4
+
+    def test_twelve_shared_names_find_the_planted_version(self, scored_leaves):
+        # about 5e10 covers share the lowest cost; one uses one dependency
+        kb, source, planted = _shared_names(12, seed=7)
+        resolution = resolve(source, kb)
+        assert resolution.dependencies == [planted]
+        assert resolution.cost == 12
+        assert len(scored_leaves) <= 10**4
 
 
 class TestEmitPatch:

@@ -49,6 +49,19 @@ class TestConstruction:
         problem = CoveringProblem(3, [[0]], weights=(2, 3, 4))
         assert problem.cost({0, 2}) == 6
 
+    def test_default_groups_are_one_shared_group(self):
+        problem = CoveringProblem(3, [[0]])
+        assert problem.groups == (0, 0, 0)
+        assert problem.group_count({0, 1, 2}) == 1
+
+    def test_groups_must_match_and_lie_in_range(self):
+        with pytest.raises(ValueError):
+            CoveringProblem(2, [[0]], groups=(0,))
+        with pytest.raises(ValueError):
+            CoveringProblem(2, [[0]], groups=(0, 2))
+        with pytest.raises(ValueError):
+            CoveringProblem(2, [[0]], groups=(-1, 0))
+
 
 class TestPreprocess:
     def test_unit_clause_forces_and_covers(self):
@@ -72,6 +85,10 @@ class TestPreprocess:
         pre = preprocess(CoveringProblem(3, [[0, 1], [2]], forced=[1]))
         assert pre.forced == frozenset({1, 2})
         assert pre.clauses == ()
+
+    def test_groups_carried_through(self):
+        pre = preprocess(CoveringProblem(3, [[0], [1, 2]], groups=(2, 1, 0)))
+        assert pre.groups == (2, 1, 0)
 
 
 class TestSolveMin:
@@ -114,6 +131,57 @@ class TestSolveMin:
     def test_infeasible_forced_raises(self):
         with pytest.raises(InfeasibleError):
             solve_min(CoveringProblem(1, [], forced=[0]), feasible=lambda s: 0 not in s)
+
+    def test_problem_without_groups_keeps_its_model(self):
+        # zero weights tie {0, 1}, {0, 2} and {1}; without groups the ids
+        # decide as before, with one group per variable {1} touches fewest
+        problem = CoveringProblem(3, [[0, 1], [1, 2]], weights=(0, 0, 0))
+        assert solve_min(problem) == Model(frozenset({0, 1}), 0)
+        regrouped = CoveringProblem(3, problem.clauses, problem.weights, groups=(0, 1, 2))
+        assert solve_min(regrouped) == Model(frozenset({1}), 0)
+
+    def test_search_tree_does_not_depend_on_exploration_order(self):
+        # {0, 1, 3} ranks below {0, 3} but holds a free variable it does not
+        # need; branching on [0, 2] first, 2 (weight 0) is explored first yet
+        # excludes 0 from its subtree as in ascending order, so that set is
+        # never met and the model stays the one ascending order gives
+        problem = CoveringProblem(4, [[3], [2, 0], [0, 1]], weights=(1, 0, 1, 1))
+        assert solve_min(problem) == Model(frozenset({0, 3}), 2)
+
+    def test_fewer_groups_beat_smaller_ids(self):
+        problem = CoveringProblem(4, [[0, 1], [2, 3]])
+        assert solve_min(problem).true_vars == frozenset({0, 2})
+        grouped = CoveringProblem(4, [[0, 1], [2, 3]], groups=(0, 1, 1, 0))
+        assert solve_min(grouped).true_vars == frozenset({0, 3})
+        assert brute_force_min(grouped).true_vars == frozenset({0, 3})
+
+    def test_cost_outranks_groups(self):
+        # one group costs 3, two groups cost 2
+        problem = CoveringProblem(3, [[0, 1], [0, 2]], weights=(3, 1, 1), groups=(0, 1, 2))
+        assert solve_min(problem) == Model(frozenset({1, 2}), 2)
+
+    def test_tie_key_sees_only_exact_ties_of_cost_and_groups(self):
+        seen = []
+
+        def tie_key(chosen):
+            seen.append(chosen)
+            return tuple(sorted(-v for v in chosen))
+
+        problem = CoveringProblem(4, [[0, 1], [2, 3]], groups=(0, 1, 0, 1))
+        assert solve_min(problem, tie_key=tie_key).true_vars == frozenset({1, 3})
+        assert all(problem.group_count(chosen) == 1 for chosen in seen)
+
+    def test_deep_problem_runs_on_an_explicit_stack(self):
+        # 1200 disjoint two-way clauses, one variable of each in group 0:
+        # deeper than the interpreter's default recursion limit
+        n = 1200
+        problem = CoveringProblem(
+            2 * n, [[2 * i, 2 * i + 1] for i in range(n)], groups=[v % 2 for v in range(2 * n)]
+        )
+        leaves = []
+        model = solve_min(problem, tie_key=lambda chosen: leaves.append(chosen) or 0)
+        assert model.true_vars == frozenset(range(0, 2 * n, 2))
+        assert len(leaves) <= 2
 
 
 class TestBruteForce:
@@ -172,7 +240,7 @@ class TestDump:
 
 
 @st.composite
-def covering_problems(draw, max_vars=15, max_clauses=10, weight_pool=None):
+def covering_problems(draw, max_vars=15, max_clauses=10, weight_pool=None, grouped=False):
     num_vars = draw(st.integers(min_value=1, max_value=max_vars))
     clauses = draw(
         st.lists(
@@ -189,7 +257,12 @@ def covering_problems(draw, max_vars=15, max_clauses=10, weight_pool=None):
         weights = tuple(
             draw(st.sampled_from(weight_pool)) for _ in range(num_vars)
         )
-    return CoveringProblem(num_vars, clauses, weights)
+    groups: tuple[int, ...] = ()
+    if grouped:
+        groups = tuple(
+            draw(st.integers(0, min(num_vars, 4) - 1)) for _ in range(num_vars)
+        )
+    return CoveringProblem(num_vars, clauses, weights, groups=groups)
 
 
 @st.composite
@@ -254,6 +327,18 @@ def test_extra_clause_never_cheapens(problem, extra):
         problem.num_vars, problem.clauses + (clause,), problem.weights
     )
     assert solve_min(grown).cost >= solve_min(problem).cost
+
+
+@given(problem=covering_problems(max_vars=10, weight_pool=(1, 2, 3), grouped=True), data=st.data())
+def test_grouped_solver_agrees_with_oracle(problem, data):
+    feasible = data.draw(conflict_predicates(max_vars=10))
+    try:
+        fast = solve_min(problem, feasible=feasible)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            brute_force_min(problem, feasible=feasible)
+        return
+    assert fast == brute_force_min(problem, feasible=feasible)
 
 
 @given(problem=covering_problems(max_vars=10), data=st.data())
