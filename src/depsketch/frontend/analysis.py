@@ -273,52 +273,75 @@ class _Analyzer:
             ref = self._eval(expr.operand)
             return _BOOLEAN if expr.op == "!" else ref
         if isinstance(expr, ast.Binary):
-            left = self._eval(expr.left)
-            right = self._eval(expr.right)
-            if expr.op in ("==", "!=", "<", ">", "<=", ">=", "&&", "||"):
-                return _BOOLEAN
-            if expr.op == "+" and _STRING.fqn in (left.fqn, right.fqn):
-                return _STRING
-            if left.fqn in PRIMITIVES:
-                return left
-            if right.fqn in PRIMITIVES:
-                return right
-            return self._fresh_hole()
+            # Walk the left spine with a loop: the parser builds `a + b + c`
+            # as a left-nested chain of any length.
+            spine = []
+            while isinstance(expr, ast.Binary):
+                spine.append(expr)
+                expr = expr.left
+            ref = self._eval(expr)
+            for node in reversed(spine):
+                ref = self._binary(node.op, ref, self._eval(node.right))
+            return ref
         if isinstance(expr, ast.NewExpr):
             ref = self._type_ref(expr.new_type)
             for arg in expr.args:
                 self._eval(arg)
             return ref
-        if isinstance(expr, ast.FieldAccess):
-            return self._field_chain(expr)
-        if isinstance(expr, ast.MethodCall):
-            if expr.receiver is None:
-                owner = self._fresh_hole()
-            else:
-                owner = self._receiver_ref(expr.receiver)
-            args = [self._eval(arg) for arg in expr.args]
-            return self._emit_call(owner, expr.name, args, expr.span)
+        if isinstance(expr, (ast.FieldAccess, ast.MethodCall)):
+            return self._chain(expr)
         raise AnalysisError(  # pragma: no cover - parser produces nothing else
             f"unsupported expression {type(expr).__name__}", _span_of(expr)
         )
 
-    def _receiver_ref(self, expr: object) -> TypeRef:
-        if isinstance(expr, ast.Identifier):
-            ref = self._lookup(expr.name)
-            if ref is not None:
-                self._emit_type(ref, expr.span)
-                return ref
-            return self._simple_type_ref(expr.name, expr.span)
-        if isinstance(expr, ast.FieldAccess):
-            return self._field_chain(expr)
-        return self._eval(expr)
+    def _binary(self, op: str, left: TypeRef, right: TypeRef) -> TypeRef:
+        if op in ("==", "!=", "<", ">", "<=", ">=", "&&", "||"):
+            return _BOOLEAN
+        if op == "+" and _STRING.fqn in (left.fqn, right.fqn):
+            return _STRING
+        if left.fqn in PRIMITIVES:
+            return left
+        if right.fqn in PRIMITIVES:
+            return right
+        return self._fresh_hole()
 
-    def _field_chain(self, expr: ast.FieldAccess) -> TypeRef:
-        parts = _flatten_dotted(expr)
-        if parts is not None and self._lookup(parts[0][0]) is None:
-            return self._dotted_ref(parts)
-        owner = self._receiver_ref(expr.receiver)
-        return self._emit_field(owner, expr.name, expr.span)
+    def _chain(self, expr: ast.FieldAccess | ast.MethodCall) -> TypeRef:
+        """A receiver chain of calls and field accesses, evaluated from its base up.
+
+        The links are collected with a loop, so a chain of any length costs
+        no recursion.  Field accesses directly over a name that is not a
+        variable spell a dotted type (see `_dotted_ref`).
+        """
+        links = []
+        base = expr
+        while isinstance(base, (ast.FieldAccess, ast.MethodCall)) and base.receiver is not None:
+            links.append(base)
+            base = base.receiver
+        if isinstance(base, ast.MethodCall):  # a bare call like run()
+            owner = self._fresh_hole()
+            args = [self._eval(arg) for arg in base.args]
+            ref = self._emit_call(owner, base.name, args, base.span)
+        elif isinstance(base, ast.Identifier):
+            ref = self._lookup(base.name)
+            if ref is not None:
+                self._emit_type(ref, base.span)
+            elif isinstance(links[-1], ast.MethodCall):
+                ref = self._simple_type_ref(base.name, base.span)
+            else:
+                parts = [(base.name, base.span)]
+                while links and isinstance(links[-1], ast.FieldAccess):
+                    link = links.pop()
+                    parts.append((link.name, link.span))
+                ref = self._dotted_ref(parts)
+        else:
+            ref = self._eval(base)
+        for link in reversed(links):
+            if isinstance(link, ast.FieldAccess):
+                ref = self._emit_field(ref, link.name, link.span)
+            else:
+                args = [self._eval(arg) for arg in link.args]
+                ref = self._emit_call(ref, link.name, args, link.span)
+        return ref
 
     def _dotted_ref(self, parts: list[tuple[str, Span]]) -> TypeRef:
         # A dotted chain with no variable at its base names a type, then
@@ -342,20 +365,6 @@ class _Analyzer:
         return ref
 
 
-def _flatten_dotted(expr: object) -> list[tuple[str, Span]] | None:
-    """``a.b.C.d`` as (name, span) pairs, or None if any link is not a name."""
-    parts = []
-    node = expr
-    while isinstance(node, ast.FieldAccess):
-        parts.append((node.name, node.span))
-        node = node.receiver
-    if not isinstance(node, ast.Identifier):
-        return None
-    parts.append((node.name, node.span))
-    parts.reverse()
-    return parts
-
-
 def _span_of(node: object) -> Span:
     return getattr(node, "span", Span(1, 1, 1, 1))
 
@@ -366,6 +375,6 @@ def analyze(unit: ast.CompilationUnit) -> Analysis:
 
 
 def sketch_source(source: str, allow_wrap: bool = True) -> tuple[Snippet, Analysis]:
-    """Parse, wrap if needed, and analyze in one step."""
+    """Wrap (parsing the snippet once) and analyze in one step."""
     snippet = wrap(source, allow_wrap=allow_wrap)
     return snippet, analyze(parse(snippet))

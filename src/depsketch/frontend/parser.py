@@ -215,8 +215,8 @@ class Binary:
 
 
 class _Parser:
-    def __init__(self, source: str):
-        self.tokens = tokenize(source)
+    def __init__(self, source: str | list[Token]):
+        self.tokens = tokenize(source) if isinstance(source, str) else source
         self.pos = 0
         self.depth = 0
 
@@ -431,10 +431,7 @@ class _Parser:
         # backtracks to the expression path.
         save = self.pos
         self._qualified_name()
-        if self.at("<"):
-            raise self.error("generic types are not supported")
-        if self.at("["):
-            raise self.error("array types are not supported")
+        self._reject_type_suffix()
         if self.peek().kind != "ident":
             self.pos = save
             return None
@@ -596,11 +593,11 @@ class _Parser:
         return args
 
 
-def parse_unit(source: str) -> CompilationUnit:
+def parse_unit(source: str | list[Token]) -> CompilationUnit:
     return _Parser(source).parse_unit()
 
 
-def parse_statements(source: str) -> list:
+def parse_statements(source: str | list[Token]) -> list:
     return _Parser(source).parse_statements()
 
 
@@ -614,45 +611,41 @@ class Origin(Enum):
 
 @dataclass(frozen=True)
 class Snippet:
+    """A snippet's text, how it was read, and the unit parsed from it.
+
+    Equality and hashing look at ``source`` and ``origin`` only; ``unit``
+    follows from them.
+    """
+
     source: str
     origin: Origin
+    unit: CompilationUnit = field(compare=False, repr=False)
+
+
+# A compilation unit starts with one of these and no statement can.
+_UNIT_START = MODIFIER_KEYWORDS | {"import", "class"}
 
 
 def wrap(source: str, allow_wrap: bool = True) -> Snippet:
-    """Classify *source* as a compilation unit or a statement snippet.
+    """Tokenize and parse *source* once, as a compilation unit or as statements.
 
-    `parse` puts statement snippets inside a synthetic class; the original
-    text and positions are what analysis reports against.
+    The first token decides: ``import``, ``class`` or a modifier starts a
+    unit, anything else starts statements, which get a synthetic
+    ``__Snippet`` class with one ``__run`` method around them.  With
+    *allow_wrap* false the source must be a unit.  Positions stay as typed.
     """
     if not source.strip():
         raise JavaSyntaxError("empty source", 1, 1)
-    try:
-        parse_unit(source)
-        return Snippet(source, Origin.FREESTANDING)
-    except JavaSyntaxError as unit_error:
-        if not allow_wrap:
-            raise
-        try:
-            parse_statements(source)
-        except JavaSyntaxError as statement_error:
-            raise (unit_error if _unit_like(source) else statement_error) from None
-        return Snippet(source, Origin.WRAPPED)
-
-
-def _unit_like(source: str) -> bool:
-    try:
-        first = tokenize(source)[0]
-    except JavaSyntaxError:
-        return False
-    return first.kind == "kw" and first.text in MODIFIER_KEYWORDS | {"import", "class"}
+    tokens = tokenize(source)
+    first = tokens[0]
+    if not allow_wrap or (first.kind == "kw" and first.text in _UNIT_START):
+        return Snippet(source, Origin.FREESTANDING, parse_unit(tokens))
+    body = Block(parse_statements(tokens), _ZERO)
+    run = MethodDecl(TypeName("void", _ZERO), "__run", _ZERO, [], body, _ZERO)
+    holder = ClassDecl("__Snippet", None, [run], _ZERO)
+    return Snippet(source, Origin.WRAPPED, CompilationUnit([], [holder]))
 
 
 def parse(snippet: Snippet) -> CompilationUnit:
-    """AST for a snippet; wrapped statements get a synthetic unit around them."""
-    if snippet.origin is Origin.FREESTANDING:
-        return parse_unit(snippet.source)
-    statements = parse_statements(snippet.source)
-    body = Block(statements, _ZERO)
-    run = MethodDecl(TypeName("void", _ZERO), "__run", _ZERO, [], body, _ZERO)
-    holder = ClassDecl("__Snippet", None, [run], _ZERO)
-    return CompilationUnit([], [holder])
+    """AST of a snippet: the unit `wrap` parsed, synthetic holder included."""
+    return snippet.unit

@@ -167,6 +167,23 @@ class TestSketch:
             "error: 1:73: nesting deeper than 64 levels is not supported\n"
         )
 
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("int x = " + " + ".join(["1"] * 1000) + ";", []),
+            ("String s = null; s" + ".trim()" * 500 + ";",
+             ["R java.lang.String", "U java.lang.String.trim()?", "U ?.trim()?"]),
+            ("String s = null; int y = s" + ".f" * 1500 + ";",
+             ["R java.lang.String", "U java.lang.String.f:?", "U ?.f:?"]),
+        ],
+        ids=["1000-term-sum", "500-call-chain", "1500-field-chain"],
+    )
+    def test_flat_chains_exit_zero(self, source, expected, capsys, monkeypatch):
+        # the parser builds these in loops, so analysis must not recurse on them
+        monkeypatch.setattr("sys.stdin", io.StringIO(source))
+        code = main(["sketch", "-"])
+        assert (code, capsys.readouterr().out.splitlines()) == (0, expected)
+
 
 class TestResolve:
     def test_machine_report_validates(self, kb_path, capsys):

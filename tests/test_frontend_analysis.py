@@ -225,6 +225,27 @@ class TestDottedChains:
         # without the capitalization hint.
         assert renders("foo.bar();") == ["?.foo", "?.bar()?"]
 
+    def test_long_mixed_chain_keeps_order_and_spans(self):
+        # 600 links of calls and field accesses, each link one occurrence
+        source = "String s = null; s" + ".t(s.u).f" * 300 + ";"
+        sketches = sketch_map(source)
+        assert list(sketches) == [
+            "java.lang.String",
+            "java.lang.String.u:?",
+            "java.lang.String.t(?)?",
+            "?.f:?",
+            "?.t(?)?",
+        ]
+        cols = {render: [span.col for span in sketch.occurrences] for render, sketch in sketches.items()}
+        assert cols["java.lang.String.u:?"] == [24 + 9 * i for i in range(300)]
+        assert cols["java.lang.String.t(?)?"] == [20]
+        assert cols["?.t(?)?"] == [29 + 9 * i for i in range(299)]
+        assert cols["?.f:?"] == [27 + 9 * i for i in range(300)]
+
+    def test_long_sum_of_calls_keeps_order(self):
+        source = "String s = null; int n = " + " + ".join(f"s.m{i}()" for i in range(2000)) + ";"
+        assert renders(source) == ["java.lang.String"] + [f"java.lang.String.m{i}()?" for i in range(2000)]
+
 
 class TestLocalTypes:
     def test_local_classes_emit_no_sketches(self):
