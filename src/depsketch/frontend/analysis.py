@@ -234,10 +234,13 @@ class _Analyzer:
             if stmt.value is not None:
                 self._eval(stmt.value)
         elif isinstance(stmt, ast.IfStmt):
-            self._eval(stmt.cond)
-            self._stmt(stmt.then_branch)
-            if stmt.else_branch is not None:
-                self._stmt(stmt.else_branch)
+            # Walk an `else if` ladder with a loop, as the parser reads it.
+            while isinstance(stmt, ast.IfStmt):
+                self._eval(stmt.cond)
+                self._stmt(stmt.then_branch)
+                stmt = stmt.else_branch
+            if stmt is not None:
+                self._stmt(stmt)
         elif isinstance(stmt, ast.WhileStmt):
             self._eval(stmt.cond)
             self._stmt(stmt.body)

@@ -1,13 +1,32 @@
-"""Tokenizer for the supported Java subset.
+"""Tokenizer for the supported Java subset: one compiled pattern, tuple tokens.
+
+Token grammar, tried in this order at each position:
+
+    skip    blanks (space, tab, CR, LF), ``// ...`` and ``/* ... */``
+    word    ``$`` or a word character that is not a decimal digit, then
+            word characters or ``$``; a keyword if in `KEYWORDS`
+    number  decimal digits with an optional ``.digits`` fraction and an
+            ``l``/``L`` (long) or ``d``/``D`` (double) suffix; an ``f``/``F``
+            suffix, or ``L`` after a fraction, is an error at its start
+    string  ``"..."`` and char ``'...'``: a backslash escapes any character,
+            a newline ends the literal unterminated
+    punct   ``== != <= >= && || ->`` and one of ``{}();,.=<>!+-*/%[]@:``
+
+"Word character" and "decimal digit" are Unicode's, as in Python's ``\\w``
+and ``\\d``: ``é``, ``ß`` or ``中`` spell identifiers, ``٣`` is a digit, and
+numeric characters that are not decimal digits (``²``, ``½``, ``Ⅻ``) are
+identifier characters.  Anything else is an unexpected character.
 
 Tokens carry 1-based line/column positions with exclusive end columns.
-Strings and chars must close on the same line, so every token is
-single-line and its span is trivial to compute.
+Columns count characters from the last newline outside a literal; a
+string continued by a backslash-newline stays one token on its start line,
+so later tokens on that line keep counting from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..model import PRIMITIVES, DepsketchError, Span
 
@@ -26,16 +45,12 @@ class JavaSyntaxError(DepsketchError):
 MODIFIER_KEYWORDS = frozenset({"public", "private", "protected", "static", "final"})
 
 KEYWORDS = PRIMITIVES | MODIFIER_KEYWORDS | {
-    "class", "extends", "import", "new", "return", "if", "else", "while", "for",
+    "class", "extends", "import", "new", "package", "return", "if", "else", "while", "for",
     "true", "false", "null",
 }
 
-_TWO_CHAR = ("==", "!=", "<=", ">=", "&&", "||", "->")
-_ONE_CHAR = set("{}();,.=<>!+-*/%[]@:")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | kw | int | long | double | string | char | punct | eof
     text: str
     line: int
@@ -46,108 +61,50 @@ class Token:
         return Span(self.line, self.col, self.line, self.col + len(self.text))
 
 
+# Each named group is a token kind, or `skip`, `word` or one of `_ERRORS`.
+_TOKEN = re.compile(r"""
+    (?P<word>(?:[^\W\d]|\$)[\w$]*)
+  | (?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)+)
+  | (?P<float>\d+(?:\.\d+)?[fF])
+  | (?P<bad_suffix>\d+\.\d+[lL])
+  | (?P<long>\d+[lL])
+  | (?P<double>\d+(?:\.\d+)?[dD]|\d+\.\d+)
+  | (?P<int>\d+)
+  | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
+  | (?P<char>'(?:[^'\\\n]|\\[\s\S])*')
+  | (?P<open_string>")
+  | (?P<open_char>')
+  | (?P<open_comment>/\*)
+  | (?P<punct>==|!=|<=|>=|&&|\|\||->|[{}();,.=<>!+\-*/%\[\]@:])
+""", re.VERBOSE).match
+
+_ERRORS = {
+    "float": "float literals are not supported",
+    "bad_suffix": "bad numeric literal suffix",
+    "open_string": "unterminated string literal",
+    "open_char": "unterminated char literal",
+    "open_comment": "unterminated block comment",
+}
+
+
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-
-    def error(message: str) -> JavaSyntaxError:
-        return JavaSyntaxError(message, line, col)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, col
-            i += 2
-            col += 2
-            while i < n and not source.startswith("*/", i):
-                if source[i] == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                i += 1
-            if i >= n:
-                raise JavaSyntaxError("unterminated block comment", start_line, start_col)
-            i += 2
-            col += 2
-            continue
-        if ch.isalpha() or ch in "_$":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_$"):
-                j += 1
-            text = source[i:j]
+    line, line_start, pos, end = 1, 0, 0, len(source)
+    while pos < end:
+        match = _TOKEN(source, pos)
+        col = pos - line_start + 1
+        if match is None:
+            raise JavaSyntaxError(f"unexpected character {source[pos]!r}", line, col)
+        kind, text, pos = match.lastgroup, match.group(), match.end()
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = source.rindex("\n", 0, pos) + 1
+        elif kind == "word":
             tokens.append(Token("kw" if text in KEYWORDS else "ident", text, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            kind = "int"
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-                kind = "double"
-            if j < n and source[j] in "lL":
-                if kind == "double":
-                    raise error("bad numeric literal suffix")
-                j += 1
-                kind = "long"
-            elif j < n and source[j] in "dD":
-                j += 1
-                kind = "double"
-            elif j < n and source[j] in "fF":
-                raise error("float literals are not supported")
-            text = source[i:j]
+        elif kind in _ERRORS:
+            raise JavaSyntaxError(_ERRORS[kind], line, col)
+        else:
             tokens.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "\"'":
-            quote = ch
-            start_line, start_col = line, col
-            j = i + 1
-            while j < n and source[j] != quote:
-                if source[j] == "\n":
-                    break
-                j += 2 if source[j] == "\\" else 1
-            if j >= n or source[j] != quote:
-                what = "string" if quote == '"' else "char"
-                raise JavaSyntaxError(f"unterminated {what} literal", start_line, start_col)
-            text = source[i : j + 1]
-            tokens.append(Token("string" if quote == '"' else "char", text, line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        two = source[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token("punct", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise error(f"unexpected character {ch!r}")
-
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens

@@ -2,7 +2,8 @@
 
 Grammar, roughly:
 
-    unit      := import* class+
+    unit      := package? import* class+
+    package   := 'package' qualified ';'      (only its span is kept)
     import    := 'import' qualified ';'
     class     := modifier* 'class' IDENT ('extends' qualified)? '{' member* '}'
     member    := modifier* type IDENT ( '(' params? ')' block | ('=' expr)? ';' )
@@ -28,8 +29,9 @@ from .lexer import JavaSyntaxError, MODIFIER_KEYWORDS, Token, tokenize
 
 _ZERO = Span(1, 1, 1, 1)
 # Deepest nesting of parentheses, argument lists, unary operators, blocks
-# and if/while/for bodies; each level costs up to about 12 interpreter
-# frames, so this stays well inside the default recursion limit.
+# and if/while/for bodies (a whole `else if` ladder is one level); each level
+# costs up to about 12 interpreter frames, so this stays well inside the
+# default recursion limit.
 MAX_NESTING = 64
 
 
@@ -102,6 +104,7 @@ class ClassDecl:
 class CompilationUnit:
     imports: list[ImportDecl]
     classes: list[ClassDecl]
+    package: Span | None = None  # where the package declaration is, if any
 
 
 @dataclass
@@ -263,19 +266,30 @@ class _Parser:
     # -- declarations --
 
     def parse_unit(self) -> CompilationUnit:
+        package = self._package_decl() if self.at("package") else None
         imports = []
         while self.at("import"):
             imports.append(self._import_decl())
         classes = [self._class_decl()]
         while self.peek().kind != "eof":
             classes.append(self._class_decl())
-        return CompilationUnit(imports, classes)
+        return CompilationUnit(imports, classes, package)
 
     def parse_statements(self) -> list:
         statements = []
         while self.peek().kind != "eof":
             statements.append(self._statement())
         return statements
+
+    def _package_decl(self) -> Span:
+        # Nothing downstream reads the package name, so only its span is kept.
+        start = self.expect("package")
+        self.expect_ident("a package name")
+        while self.at("."):
+            self.advance()
+            self.expect_ident("a package name")
+        end = self.expect(";")
+        return Span(start.line, start.col, end.line, end.col + 1)
 
     def _import_decl(self) -> ImportDecl:
         start = self.expect("import")
@@ -454,18 +468,28 @@ class _Parser:
         return ExprStmt(expr, span)
 
     def _if_stmt(self) -> IfStmt:
+        # An `else if` ladder is read with a loop at one nesting level, then
+        # built into the same nested IfStmt chain from the bottom up.
         start = self.expect("if")
         self.nest(start)
-        self.expect("(")
-        cond = self._expression()
-        self.expect(")")
-        then_branch = self._statement()
+        rungs = []
         else_branch = None
-        if self.at("else"):
+        while True:
+            self.expect("(")
+            cond = self._expression()
+            self.expect(")")
+            rungs.append((cond, self._statement(), start.span))
+            if not self.at("else"):
+                break
             self.advance()
-            else_branch = self._statement()
+            if not self.at("if"):
+                else_branch = self._statement()
+                break
+            start = self.advance()
         self.depth -= 1
-        return IfStmt(cond, then_branch, else_branch, start.span)
+        for cond, then_branch, span in reversed(rungs):
+            else_branch = IfStmt(cond, then_branch, else_branch, span)
+        return else_branch
 
     def _while_stmt(self) -> WhileStmt:
         start = self.expect("while")
@@ -623,16 +647,17 @@ class Snippet:
 
 
 # A compilation unit starts with one of these and no statement can.
-_UNIT_START = MODIFIER_KEYWORDS | {"import", "class"}
+_UNIT_START = MODIFIER_KEYWORDS | {"package", "import", "class"}
 
 
 def wrap(source: str, allow_wrap: bool = True) -> Snippet:
     """Tokenize and parse *source* once, as a compilation unit or as statements.
 
-    The first token decides: ``import``, ``class`` or a modifier starts a
-    unit, anything else starts statements, which get a synthetic
-    ``__Snippet`` class with one ``__run`` method around them.  With
-    *allow_wrap* false the source must be a unit.  Positions stay as typed.
+    The first token decides: ``package``, ``import``, ``class`` or a
+    modifier starts a unit, anything else starts statements, which get a
+    synthetic ``__Snippet`` class with one ``__run`` method around them.
+    With *allow_wrap* false the source must be a unit.  Positions stay as
+    typed.
     """
     if not source.strip():
         raise JavaSyntaxError("empty source", 1, 1)

@@ -224,6 +224,9 @@ def resolve(
 def emit_patch(resolution: Resolution, source: str, *, partial: bool = False) -> str:
     """*source* with the missing imports added above its first non-import line.
 
+    *source* is the text *resolution* was resolved from.  A ``package``
+    declaration stays above the new imports: the search for that line
+    starts on the first line that begins after the declaration.
     Everything below the inserted block is byte-identical to the input.
     The ``java.lang`` package and dotless names need no import and are
     skipped; so is anything the snippet already imports.  Unresolved
@@ -242,10 +245,18 @@ def emit_patch(resolution: Resolution, source: str, *, partial: bool = False) ->
     if not wanted:
         return source
     lines = source.splitlines(keepends=True)
-    insert_at = len(lines)
+    package_end = 0
+    package = resolution.snippet.unit.package
+    if package is not None:
+        # No literal precedes the declaration, so its columns count from the last newline.
+        for _ in range(package.end_line - 1):
+            package_end = source.index("\n", package_end) + 1
+        package_end += package.end_col - 1
+    insert_at, offset = len(lines), 0
     for index, line in enumerate(lines):
-        if not line.strip().startswith("import "):
+        if offset >= package_end and not line.strip().startswith("import "):
             insert_at = index
             break
+        offset += len(line)
     block = "".join(f"import {fqn};\n" for fqn in wanted)
     return "".join(lines[:insert_at]) + block + "".join(lines[insert_at:])

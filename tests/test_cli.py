@@ -175,8 +175,10 @@ class TestSketch:
              ["R java.lang.String", "U java.lang.String.trim()?", "U ?.trim()?"]),
             ("String s = null; int y = s" + ".f" * 1500 + ";",
              ["R java.lang.String", "U java.lang.String.f:?", "U ?.f:?"]),
+            ("String s = null; if (s == null) s = null;" + " else if (s == null) s = s.trim();" * 1000,
+             ["R java.lang.String", "U java.lang.String.trim()?"]),
         ],
-        ids=["1000-term-sum", "500-call-chain", "1500-field-chain"],
+        ids=["1000-term-sum", "500-call-chain", "1500-field-chain", "1000-rung-else-if"],
     )
     def test_flat_chains_exit_zero(self, source, expected, capsys, monkeypatch):
         # the parser builds these in loops, so analysis must not recurse on them

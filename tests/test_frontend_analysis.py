@@ -246,6 +246,26 @@ class TestDottedChains:
         source = "String s = null; int n = " + " + ".join(f"s.m{i}()" for i in range(2000)) + ";"
         assert renders(source) == ["java.lang.String"] + [f"java.lang.String.m{i}()?" for i in range(2000)]
 
+    def test_else_if_ladder_keeps_order_and_spans(self):
+        # the ladder is walked with a loop, in the order the nested reading gives
+        def ladder(rungs: int, braced: bool) -> str:
+            head = " else { if" if braced else " else if"
+            tail = " }" * rungs if braced else ""
+            return (
+                "String s = null; if (s.c()) s.t();"
+                + "".join(f"{head} (s.c{i}()) s.t{i}();" for i in range(rungs))
+                + " else s.e();" + tail
+            )
+
+        assert renders(ladder(30, braced=False)) == renders(ladder(30, braced=True))
+        sketches = sketch_map(ladder(1000, braced=False))
+        assert list(sketches) == (
+            ["java.lang.String", "java.lang.String.c()?", "java.lang.String.t()?"]
+            + [f"java.lang.String.{m}{i}()?" for i in range(1000) for m in ("c", "t")]
+            + ["java.lang.String.e()?"]
+        )
+        assert sketches["java.lang.String.c1()?"].occurrences[0].render() == "1:72-1:74"
+
 
 class TestLocalTypes:
     def test_local_classes_emit_no_sketches(self):

@@ -86,6 +86,43 @@ class TestTokenize:
             tokenize(source)
         assert err.value.reason == message
 
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            # a backslash-newline continues the string on its start line, so
+            # the next line only starts at the next newline outside it
+            (
+                's = "a\\\nb" + x;\ny',
+                [("ident", "s", 1, 1), ("punct", "=", 1, 3), ("string", '"a\\\nb"', 1, 5),
+                 ("punct", "+", 1, 12), ("ident", "x", 1, 14), ("punct", ";", 1, 15),
+                 ("ident", "y", 2, 1), ("eof", "", 2, 2)],
+            ),
+            ("1.L", [("int", "1", 1, 1), ("punct", ".", 1, 2), ("ident", "L", 1, 3), ("eof", "", 1, 4)]),
+            ("1.5d", [("double", "1.5d", 1, 1), ("eof", "", 1, 5)]),
+            ("2Lx", [("long", "2L", 1, 1), ("ident", "x", 1, 3), ("eof", "", 1, 4)]),
+            ("a$b", [("ident", "a$b", 1, 1), ("eof", "", 1, 4)]),
+            ("a\r\n  b", [("ident", "a", 1, 1), ("ident", "b", 2, 3), ("eof", "", 2, 4)]),
+            ("/*\n*/ z", [("ident", "z", 2, 4), ("eof", "", 2, 5)]),
+            ("café = ß1", [("ident", "café", 1, 1), ("punct", "=", 1, 6), ("ident", "ß1", 1, 8),
+                           ("eof", "", 1, 10)]),
+            # a numeric character that is not a decimal digit is a word character
+            ("² ٣", [("ident", "²", 1, 1), ("int", "٣", 1, 3), ("eof", "", 1, 4)]),
+            # errors sit at the start of the literal or comment
+            ("x /*/ y", ("unterminated block comment", 1, 3)),
+            ('x = "a\\', ("unterminated string literal", 1, 5)),
+            ('x = "a\nb";', ("unterminated string literal", 1, 5)),
+            ("x = 12.5f;", ("float literals are not supported", 1, 5)),
+            ("y = 3.5L;", ("bad numeric literal suffix", 1, 5)),
+            ("a\tb\fc", ("unexpected character '\\x0c'", 1, 4)),
+        ],
+    )
+    def test_tokens_and_positions(self, source, expected):
+        try:
+            got = [tuple(token) for token in tokenize(source)]
+        except JavaSyntaxError as err:
+            got = (err.reason, err.line, err.col)
+        assert got == expected
+
     def test_error_position(self):
         with pytest.raises(JavaSyntaxError) as err:
             tokenize('x = \n  "open')
@@ -117,6 +154,14 @@ class TestParseUnit:
         assert cls.fields[0].init is None
         assert isinstance(cls.fields[1].init, Literal)
 
+    def test_package_is_checked_and_only_its_span_kept(self):
+        unit = parse_unit("package com.example.app;\nimport java.util.regex.Pattern;\nclass A {}")
+        assert [i.fqn for i in unit.imports] == ["java.util.regex.Pattern"]
+        assert [c.name for c in unit.classes] == ["A"]
+        assert unit.package.render() == "1:1-1:25"
+        assert parse_unit("/* x */ package a\n  .b ;\nclass A {}").package.render() == "1:9-2:7"
+        assert parse_unit("class A {}").package is None
+
     def test_two_classes(self):
         unit = parse_unit("class A {} class B {}")
         assert [c.name for c in unit.classes] == ["A", "B"]
@@ -138,6 +183,10 @@ class TestParseUnit:
             ("class A { void go() { 1 = 2; } }", "invalid assignment target"),
             ("class A { void go() {", "unexpected end of block"),
             ("class A { int x;", "unexpected end of class body"),
+            ("package a.*; class A {}", "expected a package name"),
+            ("package a.b class A {}", "expected ';'"),
+            ("import a.B; package a; class A {}", "expected 'class'"),
+            ("class A { int package; }", "expected a member name"),
         ],
     )
     def test_targeted_errors(self, source, message):
@@ -312,6 +361,24 @@ class TestNestingLimit:
         source = "s.f(" * MAX_NESTING + ")" * MAX_NESTING + ";"
         _, analysis = sketch_source("String s = null; " + source)
         assert analysis.sketches
+
+    def test_else_if_ladder_is_not_nesting(self):
+        source = "if (x == 0) x = 1;" + " else if (x == 1) x = 2;" * 1000 + " else x = 3;"
+        stmt = self.stmt(source)
+        cols = []
+        while isinstance(stmt, IfStmt):
+            cols.append(stmt.span.col)
+            assert isinstance(stmt.then_branch, AssignStmt)
+            stmt = stmt.else_branch
+        assert cols == [1] + [25 + 24 * i for i in range(1000)]
+        assert isinstance(stmt, AssignStmt)
+
+    def test_65_nested_ifs_fail_at_the_65th(self):
+        with pytest.raises(JavaSyntaxError) as err:
+            parse_statements("if (x) " * 65 + ";")
+        assert "nesting deeper than 64 levels" in err.value.reason
+        assert (err.value.line, err.value.col) == (1, 1 + 7 * 64)
+        parse_statements("if (x) " * 64 + ";")
 
     def test_limit_is_per_nesting_not_per_snippet(self):
         deep = "(" * 60 + "1" + ")" * 60

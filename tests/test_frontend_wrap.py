@@ -44,7 +44,7 @@ def _unit_like(source: str) -> bool:
         first = tokenize(source)[0]
     except JavaSyntaxError:
         return False
-    return first.kind == "kw" and first.text in MODIFIER_KEYWORDS | {"import", "class"}
+    return first.kind == "kw" and first.text in MODIFIER_KEYWORDS | {"package", "import", "class"}
 
 
 def reference_wrap(source: str, allow_wrap: bool) -> tuple[Origin, CompilationUnit]:
@@ -135,6 +135,8 @@ def test_wrap_matches_the_try_both_reference(source, allow_wrap):
         "// only a comment",
         "/* open",
         "int x = \"open;",
+        "package a.b; x = 1;",
+        "package a.b; class A {}",
     ],
 )
 def test_wrap_matches_the_reference_on_edge_cases(source, allow_wrap):

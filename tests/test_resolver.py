@@ -362,6 +362,34 @@ class TestEmitPatch:
         patched = emit_patch(resolution, source, partial=True)
         assert patched == "import java.util.regex.Pattern;\n" + source
 
+    @pytest.mark.parametrize(
+        "head, patched_head",
+        [
+            ("package com.example;\n", "package com.example;\n{matcher}{pattern}"),
+            (
+                "// header\n/* a comment */ package com\n    .example;\n\n",
+                "// header\n/* a comment */ package com\n    .example;\n{matcher}{pattern}\n",
+            ),
+            (
+                "package com.example;\n{pattern}",
+                "package com.example;\n{pattern}{matcher}",
+            ),
+            ("/" * 80 + "\n", "{matcher}{pattern}" + "/" * 80 + "\n"),
+            ("// x   \n" * 30, "{matcher}{pattern}" + "// x   \n" * 30),
+            ("/" * 80 + "\npackage a;\n", "/" * 80 + "\npackage a;\n{matcher}{pattern}"),
+            ("package a;\r", "package a;\r{matcher}{pattern}"),
+        ],
+        ids=[
+            "package-line", "comments-and-two-lines", "package-and-import",
+            "slash-banner", "comments-ending-in-blanks", "banner-and-package", "carriage-return",
+        ],
+    )
+    def test_imports_go_below_the_package(self, fixture_kb, head, patched_head):
+        imports = {"matcher": "import java.util.regex.Matcher;\n", "pattern": "import java.util.regex.Pattern;\n"}
+        body = "class A { void go(String s) { Pattern p = Pattern.compile(s); Matcher m = p.matcher(s); } }\n"
+        source = head.format(**imports) + body
+        assert emit_patch(resolve(source, fixture_kb), source) == patched_head.format(**imports) + body
+
     def test_patch_of_wrapped_snippet_prepends(self, fixture_kb):
         source = "Matcher m = null;"
         patched = emit_patch(resolve(source, fixture_kb), source)
