@@ -2,8 +2,9 @@
 
 Exit codes are 0 (success), 1 (resolution left sketches unresolved), and
 2 (any error: bad usage, unreadable input, syntax or analysis failures,
-strict-mode misses).  Reports and dumps are deterministic: same inputs,
-byte-identical output.  Diagnostics go to stderr, data to stdout.
+strict-mode misses, and, as ``error: internal: ...``, any other exception).
+Reports and dumps are deterministic: same inputs, byte-identical output.
+Diagnostics go to stderr, data to stdout.
 """
 
 from __future__ import annotations
@@ -210,6 +211,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (DepsketchError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a fault in depsketch itself: one line, no traceback
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
 
 

@@ -105,6 +105,7 @@ class CompilationUnit:
     imports: list[ImportDecl]
     classes: list[ClassDecl]
     package: Span | None = None  # where the package declaration is, if any
+    body: Span | None = None  # first token after the package and imports; None when wrapped
 
 
 @dataclass
@@ -270,10 +271,11 @@ class _Parser:
         imports = []
         while self.at("import"):
             imports.append(self._import_decl())
+        body = self.peek().span
         classes = [self._class_decl()]
         while self.peek().kind != "eof":
             classes.append(self._class_decl())
-        return CompilationUnit(imports, classes, package)
+        return CompilationUnit(imports, classes, package, body)
 
     def parse_statements(self) -> list:
         statements = []

@@ -2,17 +2,23 @@
 
 Built once from class listings and a ground-truth relation file, then used
 read-only.  Persistence is a line-oriented dump with a version stamp
-(``FQNKB v1``) so stale files fail loudly instead of quietly.
+(``FQNKB v2``) so stale files fail loudly instead of quietly.  Its entry
+lines are sorted by lookup key, so a loaded knowledge base parses one key's
+section on the first `KnowledgeBase.lookup` that needs it, and the rest of
+the dump only when something reads or changes every entry.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import re
+from bisect import bisect_left
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 from .model import Coordinate, DepsketchError, EntryKind, KbEntry, Sketch, matches
 
-FORMAT_STAMP = "FQNKB v1"
+FORMAT_STAMP = "FQNKB v2"
+_END_RE = re.compile(r"end ([0-9]+) ([0-9]+)")
 
 
 class ListingError(DepsketchError):
@@ -49,6 +55,11 @@ class KnowledgeBase:
 
     Single-writer while building; the relations are saved with the entries
     and filter every later ingest (see `filter_against_ground_truth`).
+
+    A knowledge base from `load` starts with no entries parsed: ``entries``
+    and the three indexes hold only the sections looked up so far.
+    `stats`, `save`, `add_entry`, the ingests and the filter parse the rest
+    first.
     """
 
     def __init__(self) -> None:
@@ -58,30 +69,45 @@ class KnowledgeBase:
         self.by_simple_name: dict[str, list[KbEntry]] = {}
         self.by_method_key: dict[tuple[str, int], list[KbEntry]] = {}
         self.by_field_name: dict[str, list[KbEntry]] = {}
-        # Index bucket -> its entries with their variable keys, sorted the
-        # way `lookup` returns them; filled on first use, cleared on change.
-        self._sorted_buckets: dict[tuple[EntryKind, object], list[tuple[KbEntry, str]]] = {}
+        # Section key -> its entries with their variable keys, sorted the
+        # way `lookup` returns them; filled on first use, dropped on change.
+        self._sorted_buckets: dict[str, list[tuple[KbEntry, str]]] = {}
+        # What `load` left unparsed: the dump's sorted entry lines (empty once
+        # every section is parsed), the sections parsed so far, the parsed
+        # ``dep=`` coordinates, and the dump's path for error messages.
+        self._lines: list[str] = []
+        self._parsed: set[str] = set()
+        self._coordinates: dict[str, Coordinate] = {}
+        self._path: str | Path = ""
 
     # -- construction ------------------------------------------------------
 
     def add_entry(self, entry: KbEntry) -> bool:
         """Add one entry; returns False for a duplicate (same FQN + dep)."""
+        self._parse_all()
+        if not self._add(entry):
+            return False
+        if self._sorted_buckets:
+            self._sorted_buckets.pop(section_key(entry), None)
+        return True
+
+    def _add(self, entry: KbEntry) -> bool:
         seen = self._seen
         size = len(seen)
         seen.add((entry.render(), entry.dep))  # add, then compare sizes: one hash
         if len(seen) == size:
             return False
-        if self._sorted_buckets:
-            self._sorted_buckets.clear()
         self.entries.append(entry)
-        if entry.kind is EntryKind.TYPE:
-            self.by_simple_name.setdefault(entry.name, []).append(entry)
-        elif entry.kind is EntryKind.METHOD:
-            key = (entry.name, len(entry.params))
-            self.by_method_key.setdefault(key, []).append(entry)
-        else:
-            self.by_field_name.setdefault(entry.name, []).append(entry)
+        index, key = self._index(entry)
+        index.setdefault(key, []).append(entry)
         return True
+
+    def _index(self, item: KbEntry | Sketch) -> tuple[dict, object]:
+        """The index holding *item*'s bucket, and the bucket's key in it."""
+        if item.kind is EntryKind.METHOD:
+            return self.by_method_key, (item.name, len(item.params))
+        index = self.by_simple_name if item.kind is EntryKind.TYPE else self.by_field_name
+        return index, item.name
 
     def _reindex(self) -> None:
         entries = self.entries
@@ -92,7 +118,7 @@ class KnowledgeBase:
         self._seen = set()
         self._sorted_buckets = {}
         for entry in entries:
-            self.add_entry(entry)
+            self._add(entry)
 
     def ingest_class_listing(self, path: str | Path, dep: Coordinate) -> int:
         """Read ``T``/``M``/``F`` lines from *path*; returns entries added.
@@ -120,6 +146,7 @@ class KnowledgeBase:
 
         A line ``g:a:v ->`` registers the left coordinate with no relations.
         """
+        self._parse_all()
         added = 0
         text = read_utf8(path, GroundTruthError)
         for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -153,6 +180,7 @@ class KnowledgeBase:
         without ground truth nothing is looked at.  Returns the number of
         entries removed; running it twice removes nothing the second time.
         """
+        self._parse_all()
         if not self.ground_truth:
             return 0
         known: dict[tuple[str, str], set[str]] = {}
@@ -183,21 +211,21 @@ class KnowledgeBase:
         selection can cover a type sketch and the member sketches it serves.
         Results are sorted by key, then by entry FQN: each index bucket is
         sorted once, on its first lookup, and later lookups only filter it.
+        A loaded dump's section for the bucket is parsed on that first lookup.
         """
-        kind = sketch.kind
-        if kind is EntryKind.METHOD:
-            index, key = self.by_method_key, (sketch.name, len(sketch.params))
-        else:
-            index = self.by_simple_name if kind is EntryKind.TYPE else self.by_field_name
-            key = sketch.name
-        pool = self._sorted_buckets.get((kind, key))
+        section = section_key(sketch)
+        pool = self._sorted_buckets.get(section)
         if pool is None:
+            if self._lines:
+                self._parse_section(section)
+            index, key = self._index(sketch)
             pool = [(entry, variable_key(entry)) for entry in index.get(key, ())]
             pool.sort(key=lambda pair: (pair[1], pair[0].render()))
-            self._sorted_buckets[kind, key] = pool
+            self._sorted_buckets[section] = pool
         return [pair for pair in pool if matches(sketch, pair[0])]
 
     def stats(self) -> dict[str, int]:
+        self._parse_all()
         counts = {kind: 0 for kind in EntryKind}
         for entry in self.entries:
             counts[entry.kind] += 1
@@ -214,12 +242,14 @@ class KnowledgeBase:
     def save(self, path: str | Path) -> None:
         """Write a deterministic dump: identical content, identical bytes.
 
-        The end marker's middle count is always 0.  Older ``FQNKB v1`` dumps
-        counted project itemsets there; keeping the field keeps the layout,
-        and every dump without itemsets, byte-identical.
+        Each entry line is ``<section key> dep=g:a:v <listing line>``, and
+        the lines are sorted, so each section's lines are contiguous (see
+        `section_key`).
         """
+        self._parse_all()
         entry_lines = sorted(
-            f"dep={entry.dep.render()} {entry.listing_line()}" for entry in self.entries
+            f"{section_key(entry)} dep={entry.dep.render()} {entry.listing_line()}"
+            for entry in self.entries
         )
         gt_lines = []
         for key in sorted(self.ground_truth):
@@ -228,66 +258,119 @@ class KnowledgeBase:
                 gt_lines.append(f"gt {key.render()} ->")
             for value in sorted(values):
                 gt_lines.append(f"gt {key.render()} -> {value.render()}")
-        lines = [FORMAT_STAMP, *entry_lines, *gt_lines]
-        lines.append(f"end {len(entry_lines)} 0 {len(gt_lines)}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        end = f"end {len(entry_lines)} {len(gt_lines)}"
+        with open(path, "w", encoding="utf-8") as out:  # by line: the dump is never one string
+            out.writelines(f"{line}\n" for line in (FORMAT_STAMP, *entry_lines, *gt_lines, end))
 
     @classmethod
     def load(cls, path: str | Path) -> KnowledgeBase:
-        """Read a dump written by `save`, checking every line.
+        """Read a dump written by `save`, checking its layout.
 
-        Each entry line goes through `KbEntry.from_listing`, so a dump is held
-        to the same grammar as a class listing.  Coordinates are parsed once
-        per distinct ``dep=`` text.
+        The stamp, the end marker's counts, the order of the entry lines and
+        every ground-truth line are checked here.  No entry is parsed: each
+        section gets the full check, the listing grammar of
+        `KbEntry.from_listing` included, when it is first parsed (see
+        `lookup`), and `stats` parses them all.
         """
         text = read_utf8(path, KbLoadError)
         lines = text.splitlines()
         if not lines or lines[0] != FORMAT_STAMP:
             found = lines[0] if lines else "<empty file>"
-            raise KbLoadError(f"{path}:1: expected header {FORMAT_STAMP!r}, found {found!r}")
+            hint = ""
+            if found.startswith("FQNKB "):
+                hint = "; delete it and rebuild it from its listings with `depsketch ingest`"
+            raise KbLoadError(f"{path}:1: expected header {FORMAT_STAMP!r}, found {found!r}{hint}")
         if not lines[-1].startswith("end "):
             raise KbLoadError(f"{path}:{len(lines)}: missing end marker, file looks truncated")
-        kb = cls()
-        coordinates: dict[str, Coordinate] = {}  # dep= text -> parsed, once each
-        n_entries = n_gt = 0
-        for line_no, line in enumerate(lines[1:-1], start=2):
-            if line.startswith("dep="):
-                head, _, listing = line.partition(" ")
-                try:
-                    dep = coordinates.get(head)
-                    if dep is None:
-                        dep = coordinates[head] = Coordinate.parse(head[len("dep="):])
-                    entry = KbEntry.from_listing(listing, dep)
-                except ValueError as exc:
-                    raise KbLoadError(f"{path}:{line_no}: {exc}") from exc
-                if not kb.add_entry(entry):
-                    raise KbLoadError(f"{path}:{line_no}: duplicate entry {listing!r}")
-                n_entries += 1
-            elif line.startswith("gt "):
-                body = line[3:]
-                left_text, arrow, right_text = body.partition(" ->")
-                if not arrow:
-                    raise KbLoadError(f"{path}:{line_no}: bad ground-truth line")
-                try:
-                    left = Coordinate.parse(left_text.strip())
-                    relations = kb.ground_truth.setdefault(left, set())
-                    if right_text.strip():
-                        relations.add(Coordinate.parse(right_text.strip()))
-                except ValueError as exc:
-                    raise KbLoadError(f"{path}:{line_no}: {exc}") from exc
-                n_gt += 1
-            else:
-                raise KbLoadError(f"{path}:{line_no}: unrecognized line {line!r}")
-        try:
-            counts = [int(n) for n in lines[-1].split()[1:]]
-        except ValueError:
-            counts = []
-        if counts != [n_entries, 0, n_gt]:
+        counts = _END_RE.fullmatch(lines[-1])
+        if counts is None or int(counts[1]) + int(counts[2]) != len(lines) - 2:
             raise KbLoadError(
                 f"{path}:{len(lines)}: end marker {lines[-1]!r} does not match body, "
                 "file looks truncated"
             )
+        gt_start = 1 + int(counts[1])
+        block = lines[1:gt_start]
+        if block != sorted(block):
+            first = next(i for i in range(1, len(block)) if block[i] < block[i - 1])
+            raise KbLoadError(f"{path}:{first + 2}: entry line out of order, dump not sorted")
+        kb = cls()
+        for line_no, line in enumerate(lines[gt_start:-1], start=gt_start + 1):
+            if not line.startswith("gt "):
+                raise KbLoadError(f"{path}:{line_no}: unrecognized line {line!r}")
+            left_text, arrow, right_text = line[3:].partition(" ->")
+            if not arrow:
+                raise KbLoadError(f"{path}:{line_no}: bad ground-truth line")
+            try:
+                left = Coordinate.parse(left_text.strip())
+                relations = kb.ground_truth.setdefault(left, set())
+                if right_text.strip():
+                    relations.add(Coordinate.parse(right_text.strip()))
+            except ValueError as exc:
+                raise KbLoadError(f"{path}:{line_no}: {exc}") from exc
+        kb._lines = block
+        kb._path = path
         return kb
+
+    def _parse_section(self, key: str) -> None:
+        """Parse the dump lines filed under *key*.
+
+        No key holds a space, and a space sorts below every character a key
+        can continue with, so the section is the run of lines from the first
+        one at or past ``key + " "`` up to the first one at or past
+        ``key + "!"``.
+        """
+        lines = self._lines
+        start = bisect_left(lines, key + " ")
+        self._parse_lines(range(start, bisect_left(lines, key + "!", start)))
+        self._parsed.add(key)  # only now: a section that failed fails on every read
+
+    def _parse_all(self) -> None:
+        """Parse every line of the sections `lookup` has not parsed."""
+        if not self._lines:
+            return
+        parsed = self._parsed
+        self._parse_lines(
+            index
+            for index, line in enumerate(self._lines)
+            if line.partition(" dep=")[0] not in parsed
+        )
+        self._lines = []
+        self._parsed = set()
+
+    def _parse_lines(self, indexes: Iterable[int]) -> None:
+        """Add the entries of the dump lines at *indexes*, checking each line."""
+        lines = self._lines
+        coordinates = self._coordinates  # dep= text -> parsed, once per dump
+        for index in indexes:
+            line = lines[index]
+            key, sep, rest = line.partition(" dep=")
+            if not sep:
+                raise self._error(index, f"unrecognized line {line!r}")
+            dep_text, _, listing = rest.partition(" ")
+            try:
+                dep = coordinates.get(dep_text)
+                if dep is None:
+                    dep = coordinates[dep_text] = Coordinate.parse(dep_text)
+                entry = KbEntry.from_listing(listing, dep)
+            except ValueError as exc:
+                raise self._error(index, str(exc)) from exc
+            if section_key(entry) != key:
+                raise self._error(index, f"entry {listing!r} filed under key {key!r}")
+            if not self._add(entry):
+                raise self._error(index, f"duplicate entry {listing!r}")
+
+    def _error(self, index: int, reason: str) -> KbLoadError:
+        return KbLoadError(f"{self._path}:{index + 2}: {reason}")  # entry lines follow the stamp
+
+
+def section_key(item: KbEntry | Sketch) -> str:
+    """Lookup bucket of *item*: ``T <simple>``, ``M <name>/<arity>`` or ``F <name>``.
+
+    Dumps file each entry line under its entry's key.
+    """
+    if item.kind is EntryKind.METHOD:
+        return f"M {item.name}/{len(item.params)}"
+    return f"{item.kind.value} {item.name}"
 
 
 def variable_key(entry: KbEntry) -> str:

@@ -226,10 +226,12 @@ def emit_patch(resolution: Resolution, source: str, *, partial: bool = False) ->
 
     *source* is the text *resolution* was resolved from.  A ``package``
     declaration stays above the new imports: the search for that line
-    starts on the first line that begins after the declaration.
-    Everything below the inserted block is byte-identical to the input.
-    The ``java.lang`` package and dotless names need no import and are
-    skipped; so is anything the snippet already imports.  Unresolved
+    starts on the first line that begins after the declaration.  When the
+    first token after the package and imports starts mid-line, behind one
+    of them, that line is split before the token and the imports go
+    between.  Everything below the inserted block is byte-identical to the
+    input.  The ``java.lang`` package and dotless names need no import and
+    are skipped; so is anything the snippet already imports.  Unresolved
     sketches block patching unless *partial*.
     """
     if resolution.unresolved and not partial:
@@ -244,19 +246,30 @@ def emit_patch(resolution: Resolution, source: str, *, partial: bool = False) ->
     ]
     if not wanted:
         return source
-    lines = source.splitlines(keepends=True)
+    unit = resolution.snippet.unit
     package_end = 0
-    package = resolution.snippet.unit.package
-    if package is not None:
-        # No literal precedes the declaration, so its columns count from the last newline.
-        for _ in range(package.end_line - 1):
-            package_end = source.index("\n", package_end) + 1
-        package_end += package.end_col - 1
-    insert_at, offset = len(lines), 0
-    for index, line in enumerate(lines):
+    if unit.package is not None:
+        package_end = _offset(source, unit.package.end_line, unit.package.end_col)
+    offset = 0
+    for line in source.splitlines(keepends=True):
         if offset >= package_end and not line.strip().startswith("import "):
-            insert_at = index
             break
         offset += len(line)
     block = "".join(f"import {fqn};\n" for fqn in wanted)
-    return "".join(lines[:insert_at]) + block + "".join(lines[insert_at:])
+    if unit.body is not None:
+        body = _offset(source, unit.body.line, unit.body.col)
+        if body < offset:
+            return source[:body].rstrip(" \t") + "\n" + block + source[body:]
+    return source[:offset] + block + source[offset:]
+
+
+def _offset(source: str, line: int, col: int) -> int:
+    """Index in *source* of *line*:*col* as the lexer counts them.
+
+    Only a literal can hold a line break the lexer does not count, and
+    none precedes the package and import declarations.
+    """
+    offset = 0
+    for _ in range(line - 1):
+        offset = source.index("\n", offset) + 1
+    return offset + col - 1

@@ -302,7 +302,7 @@ class TestResolve:
 
     def test_non_utf8_kb_exits_two_naming_it(self, tmp_path, capsys):
         kb = tmp_path / "kb.txt"
-        kb.write_bytes(b"FQNKB v1\ndep=g:a:1 T a.b.\xff\nend 1 0 0\n")
+        kb.write_bytes(b"FQNKB v2\nT C dep=g:a:1 T a.b.\xff\nend 1 0\n")
         code = main(["resolve", str(FIXTURES / "snippet.java"), "--kb", str(kb)])
         assert code == 2
         err = capsys.readouterr().err
@@ -335,6 +335,28 @@ class TestResolve:
         assert main(["sketch", "-"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: <stdin>:2: not UTF-8 text")
+
+    def test_damaged_section_fails_when_read(self, kb_path, capsys):
+        # resolve reads the sections its sketches look up, stats reads all
+        lines = kb_path.read_text().splitlines()
+        at = lines.index("T Matcher dep=jdk:java8:8 T java.util.regex.Matcher <: java.lang.Object")
+        lines[at] = "T Matcher dep=jdk:java8:8 T java.util.regex.Matcher <: Object"
+        kb_path.write_text("\n".join(lines) + "\n")
+        for argv in (["resolve", str(FIXTURES / "snippet.java")], ["stats"]):
+            assert main([*argv, "--kb", str(kb_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {kb_path}:{at + 1}: bad supertype")
+
+    def test_internal_error_is_one_line(self, kb_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("something\nbroke")
+
+        monkeypatch.setattr("depsketch.cli.resolve", broken)
+        code = main(["resolve", str(FIXTURES / "snippet.java"), "--kb", str(kb_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal: RuntimeError: something broke\n"
 
     def test_bad_declared_coordinate(self, kb_path, capsys):
         code = main(

@@ -86,6 +86,13 @@ class TestLookup:
         assert method_keys == {"jdk:java8:8:java.util.regex.Pattern"}
         assert method_keys <= type_keys
 
+    def test_entry_added_after_a_lookup_is_found(self, fixture_kb):
+        before = len(fixture_kb.lookup(type_sketch("Pattern")))
+        added = KbEntry(EntryKind.TYPE, "a.b", "Pattern", dep=JDK8)
+        fixture_kb.add_entry(added)
+        found = [entry for entry, _ in fixture_kb.lookup(type_sketch("Pattern"))]
+        assert added in found and len(found) == before + 1
+
     def test_arity_filters_methods(self, fixture_kb):
         assert fixture_kb.lookup(method_sketch("compile", ("?", "?"))) == []
 
@@ -138,6 +145,12 @@ def test_index_completeness(entries):
         assert entry in [found for found, _ in kb.lookup(_all_holes(entry))]
 
 
+def _exact(entry: KbEntry) -> Sketch:
+    return Sketch(
+        entry.kind, entry.owner, entry.name, entry.params, entry.returns, entry.field_type
+    )
+
+
 @given(entries=st.lists(_kb_entries(supertypes=st.none() | _fqns), max_size=20))
 def test_save_load_round_trip(entries, tmp_path_factory):
     # The listing grammar that load applies and the field checks that built
@@ -150,12 +163,17 @@ def test_save_load_round_trip(entries, tmp_path_factory):
     path = tmp_path_factory.mktemp("round_trip") / "kb.txt"
     kb.save(path)
     dump = path.read_bytes()
+    # A loaded dump parses sections as lookups reach them, and stats parses
+    # the rest; in any order it answers as the knowledge base that was saved.
     loaded = KnowledgeBase.load(path)
-    assert sorted(loaded.entries, key=repr) == sorted(kb.entries, key=repr)
     for entry in entries:
-        probe = _all_holes(entry)
-        assert loaded.lookup(probe) == kb.lookup(probe)
+        for probe in (_all_holes(entry), _exact(entry)):
+            assert loaded.lookup(probe) == kb.lookup(probe)
+    assert loaded.stats() == kb.stats()
+    assert sorted(loaded.entries, key=repr) == sorted(kb.entries, key=repr)
     loaded.save(path)
+    assert path.read_bytes() == dump
+    KnowledgeBase.load(path).save(path)
     assert path.read_bytes() == dump
 
 
@@ -245,32 +263,113 @@ class TestPersistence:
             KnowledgeBase.load(path)
 
     @pytest.mark.parametrize(
-        ("body", "line_no", "reason"),
+        ("body", "probe", "line_no", "reason"),
         [
-            (["dep=g:a:1 M a.b.c(int", "end 1 0 0"], 2, "parenthes"),
-            (["dep=g:a:1 T a.b.C", "dep=g:a:1 T a.b.C", "end 2 0 0"], 3, "duplicate entry"),
-            (["dep=g:a:1 T a.b.C", "dep=g:a T a.b.D", "end 2 0 0"], 3, "group:artifact:version"),
-            (["dep=g:a:1 T a.b.C", "end 2 0 0"], 3, "does not match body"),
-            (["dep=g:a:1 T a.b.C", "end 1 1 0"], 3, "does not match body"),
-            (["itemset\tproject\tg:a:1", "end 0 0 0"], 2, "unrecognized line"),
-            (["dep=g:a:1 T a.b.C\t<: Object", "end 1 0 0"], 2, "bad supertype"),
+            (["M c/0 dep=g:a:1 M a.b.c(int", "end 1 0"], method_sketch("c", ()), 2, "parenthes"),
+            (
+                ["T C dep=g:a:1 T a.b.C", "T C dep=g:a:1 T a.b.C", "end 2 0"],
+                type_sketch("C"), 3, "duplicate entry",
+            ),
+            (
+                ["T C dep=g:a:1 T a.b.C", "T D dep=g:a T a.b.D", "end 2 0"],
+                type_sketch("D"), 3, "group:artifact:version",
+            ),
+            (["T C dep=g:a:1 T a.b.C", "end 2 0"], type_sketch("C"), 3, "does not match body"),
+            (["T C dep=g:a:1 T a.b.C", "end 1 1 0"], type_sketch("C"), 3, "does not match body"),
+            (["itemset\tproject\tg:a:1", "end 0 1"], type_sketch("C"), 2, "unrecognized line"),
+            (["T C dep=g:a:1 T a.b.C\t<: Object", "end 1 0"], type_sketch("C"), 2, "bad supertype"),
+            (
+                ["T C dep=g:a:1 T a.b.C", "T B dep=g:a:1 T a.b.B", "end 2 0"],
+                type_sketch("C"), 3, "not sorted",
+            ),
+            (["T B dep=g:a:1 T a.b.C", "end 1 0"], type_sketch("B"), 2, "filed under key 'T B'"),
+            (
+                ["M run/1 dep=g:a:1 M a.b.C.run()void", "end 1 0"],
+                method_sketch("run", ("?",)), 2, "filed under key 'M run/1'",
+            ),
         ],
         ids=[
             "malformed-entry", "duplicate-entry", "bad-dep", "end-count-mismatch",
             "nonzero-middle-count", "itemset-line", "bad-supertype",
+            "unsorted-block", "misfiled-key", "misfiled-arity",
         ],
     )
-    def test_bad_line_names_path_and_line(self, tmp_path, body, line_no, reason):
+    def test_bad_line_names_path_and_line(self, tmp_path, body, probe, line_no, reason):
+        # A layout fault fails in load, an entry fault on the first read of
+        # its section: the lookup that reaches it, or stats, which reads all.
         path = tmp_path / "kb.txt"
-        path.write_text("\n".join(["FQNKB v1", *body]) + "\n")
+        path.write_text("\n".join(["FQNKB v2", *body]) + "\n")
+        for read in (lambda kb: kb.lookup(probe), KnowledgeBase.stats):
+            with pytest.raises(KbLoadError) as err:
+                read(KnowledgeBase.load(path))
+            assert str(err.value).startswith(f"{path}:{line_no}: ")
+            assert reason in str(err.value)
+
+    def test_v1_dump_asks_for_a_rebuild(self, tmp_path):
+        path = tmp_path / "kb.txt"
+        path.write_text("FQNKB v1\ndep=g:a:1 T a.b.C\nend 1 0 0\n")
         with pytest.raises(KbLoadError) as err:
             KnowledgeBase.load(path)
-        assert str(err.value).startswith(f"{path}:{line_no}: ")
-        assert reason in str(err.value)
+        assert str(err.value).startswith(f"{path}:1: ")
+        assert "'FQNKB v1'" in str(err.value)
+        assert "depsketch ingest" in str(err.value)
+
+    def test_unread_section_fails_only_on_stats(self, tmp_path):
+        # The trade-off of reading in part: a damaged section no lookup
+        # reaches loads fine, and stats, which reads every line, reports it.
+        path = tmp_path / "kb.txt"
+        path.write_text("FQNKB v2\nT C dep=g:a:1 T a.b.C\nT D dep=g:a:1 M a.b.D(\nzz\nend 3 0\n")
+        kb = KnowledgeBase.load(path)
+        assert [entry.render() for entry, _ in kb.lookup(type_sketch("C"))] == ["a.b.C"]
+        with pytest.raises(KbLoadError) as err:
+            kb.stats()
+        assert str(err.value).startswith(f"{path}:3: ")
+        path.write_text("FQNKB v2\nT C dep=g:a:1 T a.b.C\nzz\nend 2 0\n")
+        with pytest.raises(KbLoadError) as err:
+            KnowledgeBase.load(path).stats()
+        assert str(err.value).startswith(f"{path}:3: unrecognized line")
+
+    def test_failed_section_fails_again(self, tmp_path):
+        # a later read of a section that failed half-way must not answer
+        # from the entries parsed before the bad line
+        path = tmp_path / "kb.txt"
+        path.write_text(
+            "FQNKB v2\nT C dep=g:a:1 T a.b.C\nT C dep=g:a:2 T a.b.C <: Object\nend 2 0\n"
+        )
+        kb = KnowledgeBase.load(path)
+        for _ in range(2):
+            with pytest.raises(KbLoadError):
+                kb.lookup(type_sketch("C"))
+        with pytest.raises(KbLoadError):
+            kb.stats()
+
+    def test_load_parses_nothing_and_lookup_one_section(self, fixture_kb, tmp_path):
+        path = tmp_path / "kb.txt"
+        fixture_kb.save(path)
+        loaded = KnowledgeBase.load(path)
+        assert loaded.entries == []
+        found = loaded.lookup(type_sketch("Pattern"))
+        assert found == fixture_kb.lookup(type_sketch("Pattern"))
+        assert sorted(entry.render() for entry in loaded.entries) == sorted(
+            entry.render() for entry, _ in found
+        )
+        assert loaded.by_method_key == {} and loaded.by_field_name == {}
+        assert loaded.stats() == fixture_kb.stats()
+
+    def test_dump_lines_carry_their_section_key(self, fixture_kb, tmp_path):
+        path = tmp_path / "kb.txt"
+        fixture_kb.save(path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "FQNKB v2"
+        assert (
+            "M compile/1 dep=jdk:java8:8 "
+            "M java.util.regex.Pattern.compile(java.lang.String)java.util.regex.Pattern"
+        ) in lines
+        assert lines[-1] == "end 10 0"
 
     def test_non_utf8_dump_names_path(self, tmp_path):
         path = tmp_path / "kb.txt"
-        path.write_bytes(b"FQNKB v1\ndep=g:a:1 T a.b.\xff\nend 1 0 0\n")
+        path.write_bytes(b"FQNKB v2\nT C dep=g:a:1 T a.b.\xff\nend 1 0\n")
         with pytest.raises(KbLoadError) as err:
             KnowledgeBase.load(path)
         assert str(err.value).startswith(f"{path}:2: ")
@@ -296,8 +395,10 @@ class TestPersistence:
         # load accepts what a class listing accepts: any run of blanks
         # between the parts of an entry line
         path = tmp_path / "kb.txt"
-        path.write_text("FQNKB v1\ndep=g:a:1 T\ta.b.C  <:  x.Y \nend 1 0 0\n")
-        (entry,) = KnowledgeBase.load(path).entries
+        path.write_text("FQNKB v2\nT C dep=g:a:1 T\ta.b.C  <:  x.Y \nend 1 0\n")
+        kb = KnowledgeBase.load(path)
+        kb.stats()  # parses every section
+        (entry,) = kb.entries
         assert entry.listing_line() == "T a.b.C <: x.Y"
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import depsketch.resolver as resolver_module
 from depsketch import KnowledgeBase, emit_patch, resolve
-from depsketch.frontend import JavaSyntaxError
+from depsketch.frontend import JavaSyntaxError, wrap
 from depsketch.kb import variable_key
 from depsketch.model import Coordinate, KbEntry, matches
 from depsketch.resolver import CoverageError, ResolutionError, build_problem
@@ -389,6 +389,24 @@ class TestEmitPatch:
         body = "class A { void go(String s) { Pattern p = Pattern.compile(s); Matcher m = p.matcher(s); } }\n"
         source = head.format(**imports) + body
         assert emit_patch(resolve(source, fixture_kb), source) == patched_head.format(**imports) + body
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            "package a; ",
+            "import a.B; ",
+            "package a;\nimport a.B;  /* x */ ",
+            "package a; import a.B;\t",
+        ],
+        ids=["package", "import", "package-and-import", "package-then-import"],
+    )
+    def test_one_line_unit_is_split_before_its_class(self, fixture_kb, head):
+        body = "class A { void go(String s) { Pattern p = Pattern.compile(s); } }"
+        source = head + body
+        patched = emit_patch(resolve(source, fixture_kb), source)
+        assert patched == head.rstrip(" \t") + "\nimport java.util.regex.Pattern;\n" + body
+        imported = [decl.fqn for decl in wrap(patched, allow_wrap=False).unit.imports]
+        assert imported[-1] == "java.util.regex.Pattern"
 
     def test_patch_of_wrapped_snippet_prepends(self, fixture_kb):
         source = "Matcher m = null;"

@@ -31,7 +31,7 @@ def test_build_demo_kb(tmp_path):
     lines = proc.stdout.splitlines()
     assert f"saved {kb}" in lines
     assert lines[-1] == "entries=10 types=6 methods=3 fields=1 dependencies=2"
-    assert kb.read_text().startswith("FQNKB v1\n")
+    assert kb.read_text().startswith("FQNKB v2\n")
 
 
 def test_run_walkthrough(tmp_path):
