@@ -311,6 +311,77 @@ class TestParseStatements:
         assert "declarations are not allowed inside a snippet body" in err.value.reason
 
 
+class TestForHeaderAndDeclarators:
+    @pytest.mark.parametrize(
+        "source, init_form, update_form",
+        [
+            ("for (a.B b = null;;) {}", "declaration", None),
+            ("for (i = 0;;) {}", "assignment", None),
+            ("for (x.y = 1;; x.y = 2) {}", "assignment", "assignment"),
+            ("for (a.b.c();;) {}", "expression", None),
+        ],
+        ids=["declaration-init", "assignment-init", "field-assignments", "expression-init"],
+    )
+    def test_header_statement_forms(self, source, init_form, update_form):
+        (stmt,) = parse_statements(source)
+        assert isinstance(stmt, ForStmt)
+        assert (self.form(stmt.init), self.form(stmt.update)) == (init_form, update_form)
+
+    def test_declaration_init_keeps_its_parts(self):
+        (stmt,) = parse_statements("for (a.B b = null;;) {}")
+        decl = stmt.init
+        assert (decl.var_type.text, decl.name, decl.name_span.render()) == ("a.B", "b", "1:10-1:11")
+        assert decl.span.render() == "1:6-1:9"
+        assert decl.init == Literal("null", "null", decl.init.span)
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("for (;; int x = 1) {}", "1:9: expected an expression, found 'int'"),
+            ("for (int i = 0, j = 1;;) {}", "1:15: expected ';', found ','"),
+        ],
+        ids=["declaration-update", "two-declarators"],
+    )
+    def test_header_rejects(self, source, message):
+        with pytest.raises(JavaSyntaxError) as err:
+            parse_statements(source)
+        assert str(err.value) == message
+
+    def test_fields_keep_member_order_and_initializers(self):
+        (cls,) = parse_unit(
+            "class A { int a; String b = x; void m() {} Pattern c = Pattern.compile(b); long d; }"
+        ).classes
+        assert [member.name for member in cls.members] == ["a", "b", "m", "c", "d"]
+        fields = cls.fields
+        assert [field.name for field in fields] == ["a", "b", "c", "d"]
+        assert [field.init is None for field in fields] == [True, False, False, True]
+        assert isinstance(fields[2].init, MethodCall)
+        assert [(f.span.render(), f.name_span.render()) for f in fields] == [
+            ("1:11-1:14", "1:15-1:16"),
+            ("1:18-1:24", "1:25-1:26"),
+            ("1:44-1:51", "1:52-1:53"),
+            ("1:76-1:80", "1:81-1:82"),
+        ]
+
+    def test_parameters_have_no_initializer_and_their_spans(self):
+        (method,) = parse_unit("class A { void m(int a, java.util.List b) {} }").classes[0].methods
+        params = method.params
+        assert [param.name for param in params] == ["a", "b"]
+        assert [getattr(param, "init", None) for param in params] == [None, None]
+        assert [(p.var_type.span.render(), p.name_span.render()) for p in params] == [
+            ("1:18-1:21", "1:22-1:23"),
+            ("1:25-1:39", "1:40-1:41"),
+        ]
+
+    @staticmethod
+    def form(stmt) -> str | None:
+        if stmt is None:
+            return None
+        if isinstance(stmt, VarDeclStmt):
+            return "declaration"
+        return {AssignStmt: "assignment", ExprStmt: "expression"}[type(stmt)]
+
+
 class TestNestingLimit:
     def test_300_nested_parentheses_rejected_at_the_opening_paren(self):
         source = "int x = " + "(" * 300 + "1" + ")" * 300 + ";"
