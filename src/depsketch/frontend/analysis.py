@@ -47,19 +47,15 @@ class AnalysisError(DepsketchError):
 class TypeRef:
     """What the analysis knows about one expression's type.
 
-    Exactly one of ``fqn`` / ``hole_id`` is set.  ``type_name`` carries the
-    written simple name for interned holes; ``local`` marks types declared
-    inside the snippet itself, which never become sketches.
+    A hole has no ``fqn``.  ``type_name`` carries the written simple name
+    of an interned hole; anonymous holes are the one `_HOLE`.  ``local``
+    marks types declared inside the snippet itself, which never become
+    sketches.
     """
 
     fqn: str | None = None
-    hole_id: int | None = None
     type_name: str | None = None
     local: bool = False
-
-    @property
-    def is_hole(self) -> bool:
-        return self.hole_id is not None
 
     def render(self) -> str:
         return "?" if self.fqn is None else self.fqn
@@ -72,9 +68,11 @@ class Analysis:
     local_types: list[str]
 
 
+_HOLE = TypeRef()
 _BOOLEAN = TypeRef(fqn="boolean")
 _STRING = TypeRef(fqn="java.lang.String")
 _LITERALS = {
+    "null": _HOLE,
     "string": _STRING,
     "int": TypeRef(fqn="int"),
     "long": TypeRef(fqn="long"),
@@ -90,18 +88,13 @@ class _Analyzer:
         self.local_types: list[str] = []
         self.sketches: dict[tuple[str, str], Sketch] = {}
         self._named_holes: dict[str, TypeRef] = {}
-        self._hole_count = 0
         self._scopes: list[dict[str, TypeRef]] = []
 
     # -- plumbing --
 
-    def _fresh_hole(self, name: str | None = None) -> TypeRef:
-        self._hole_count += 1
-        return TypeRef(hole_id=self._hole_count, type_name=name)
-
     def _named_hole(self, name: str) -> TypeRef:
         if name not in self._named_holes:
-            self._named_holes[name] = self._fresh_hole(name)
+            self._named_holes[name] = TypeRef(type_name=name)
         return self._named_holes[name]
 
     def _lookup(self, name: str) -> TypeRef | None:
@@ -123,28 +116,24 @@ class _Analyzer:
         self.sketches[key].occurrences.append(span)
 
     def _emit_type(self, ref: TypeRef, span: Span) -> None:
-        if ref.local:
-            return
-        if ref.is_hole:
-            if ref.type_name is None:
-                return
-            self._sketch(Sketch(EntryKind.TYPE, "?", ref.type_name), span)
-            return
-        if ref.fqn in PRIMITIVES or "." not in ref.fqn:
-            return
-        owner, name = ref.fqn.rsplit(".", 1)
-        self._sketch(Sketch(EntryKind.TYPE, owner, name), span)
+        # Anonymous holes, primitives and local classes (all dotless) add nothing.
+        if ref.fqn is None:
+            if ref.type_name is not None:
+                self._sketch(Sketch(EntryKind.TYPE, "?", ref.type_name), span)
+        elif "." in ref.fqn:
+            owner, name = ref.fqn.rsplit(".", 1)
+            self._sketch(Sketch(EntryKind.TYPE, owner, name), span)
 
     def _emit_call(self, owner: TypeRef, name: str, args: list[TypeRef], span: Span) -> TypeRef:
         if not owner.local:
             params = tuple(ref.render() for ref in args)
             self._sketch(Sketch(EntryKind.METHOD, owner.render(), name, params, "?"), span)
-        return self._fresh_hole()
+        return _HOLE
 
     def _emit_field(self, owner: TypeRef, name: str, span: Span) -> TypeRef:
         if not owner.local:
             self._sketch(Sketch(EntryKind.FIELD, owner.render(), name, field_type="?"), span)
-        return self._fresh_hole()
+        return _HOLE
 
     # -- type positions --
 
@@ -161,9 +150,7 @@ class _Analyzer:
         return ref
 
     def _type_ref(self, name: ast.TypeName) -> TypeRef:
-        if name.text in PRIMITIVES:
-            return TypeRef(fqn=name.text)
-        if "." in name.text:
+        if name.text in PRIMITIVES or "." in name.text:
             ref = TypeRef(fqn=name.text)
             self._emit_type(ref, name.span)
             return ref
@@ -190,25 +177,22 @@ class _Analyzer:
     def _class(self, cls: ast.ClassDecl) -> None:
         if cls.extends is not None:
             self._type_ref(cls.extends)
+        # Every field is in scope before any initializer runs.
         self._scopes.append({})
         for member in cls.fields:
-            ref = self._type_ref(member.var_type)
-            self._declare(member.name, ref, member.name_span)
+            self._declare(member.name, self._type_ref(member.var_type), member.name_span)
         for member in cls.members:
-            if isinstance(member, ast.FieldDecl):
-                if member.init is not None:
-                    self._eval(member.init)
-            else:
+            if isinstance(member, ast.MethodDecl):
                 self._method(member)
+            elif member.init is not None:
+                self._eval(member.init)
         self._scopes.pop()
 
     def _method(self, method: ast.MethodDecl) -> None:
+        # Parameters are declarations without an initializer, in the body's scope.
         self._type_ref(method.return_type)
         self._scopes.append({})
-        for param in method.params:
-            ref = self._type_ref(param.var_type)
-            self._declare(param.name, ref, param.name_span)
-        for stmt in method.body.statements:
+        for stmt in (*method.params, *method.body.statements):
             self._stmt(stmt)
         self._scopes.pop()
 
@@ -220,7 +204,7 @@ class _Analyzer:
             for inner in stmt.statements:
                 self._stmt(inner)
             self._scopes.pop()
-        elif isinstance(stmt, ast.VarDeclStmt):
+        elif isinstance(stmt, ast.VarDecl):
             ref = self._type_ref(stmt.var_type)
             if stmt.init is not None:
                 self._eval(stmt.init)
@@ -263,8 +247,6 @@ class _Analyzer:
 
     def _eval(self, expr: object) -> TypeRef:
         if isinstance(expr, ast.Literal):
-            if expr.kind == "null":
-                return self._fresh_hole()
             return _LITERALS[expr.kind]
         if isinstance(expr, ast.Identifier):
             ref = self._lookup(expr.name)
@@ -306,7 +288,7 @@ class _Analyzer:
             return left
         if right.fqn in PRIMITIVES:
             return right
-        return self._fresh_hole()
+        return _HOLE
 
     def _chain(self, expr: ast.FieldAccess | ast.MethodCall) -> TypeRef:
         """A receiver chain of calls and field accesses, evaluated from its base up.
@@ -321,9 +303,8 @@ class _Analyzer:
             links.append(base)
             base = base.receiver
         if isinstance(base, ast.MethodCall):  # a bare call like run()
-            owner = self._fresh_hole()
             args = [self._eval(arg) for arg in base.args]
-            ref = self._emit_call(owner, base.name, args, base.span)
+            ref = self._emit_call(_HOLE, base.name, args, base.span)
         elif isinstance(base, ast.Identifier):
             ref = self._lookup(base.name)
             if ref is not None:

@@ -6,9 +6,13 @@ Grammar, roughly:
     package   := 'package' qualified ';'      (only its span is kept)
     import    := 'import' qualified ';'
     class     := modifier* 'class' IDENT ('extends' qualified)? '{' member* '}'
-    member    := modifier* type IDENT ( '(' params? ')' block | ('=' expr)? ';' )
-    statement := block | ';' | var-decl | if | while | for | return
-               | (target '=' expr | expr) ';'
+    member    := modifier* type IDENT ( '(' params? ')' block | declarator ';' )
+    params    := type IDENT (',' type IDENT)*
+    declarator:= ('=' expr)?          (one per field, local or for-init)
+    statement := block | ';' | if | while | for | return | simple ';'
+    simple    := type IDENT declarator | update
+    update    := target '=' expr | expr
+    for       := 'for' '(' simple? ';' expr? ';' update? ')' statement
     expr      := the usual precedence ladder down to postfix chains of
                  '.name' field accesses and '.name(args)' calls
 
@@ -53,10 +57,17 @@ class ImportDecl:
 
 
 @dataclass
-class Param:
+class VarDecl:
+    """A field, parameter, local variable or ``for`` initializer declaration.
+
+    ``span`` is the type's span; parameters have no ``init``.
+    """
+
     var_type: TypeName
     name: str
     name_span: Span
+    init: object | None
+    span: Span
 
 
 @dataclass
@@ -70,17 +81,8 @@ class MethodDecl:
     return_type: TypeName
     name: str
     name_span: Span
-    params: list[Param]
+    params: list[VarDecl]
     body: Block
-    span: Span
-
-
-@dataclass
-class FieldDecl:
-    var_type: TypeName
-    name: str
-    name_span: Span
-    init: object | None
     span: Span
 
 
@@ -96,8 +98,8 @@ class ClassDecl:
         return [m for m in self.members if isinstance(m, MethodDecl)]
 
     @property
-    def fields(self) -> list[FieldDecl]:
-        return [m for m in self.members if isinstance(m, FieldDecl)]
+    def fields(self) -> list[VarDecl]:
+        return [m for m in self.members if isinstance(m, VarDecl)]
 
 
 @dataclass
@@ -106,15 +108,6 @@ class CompilationUnit:
     classes: list[ClassDecl]
     package: Span | None = None  # where the package declaration is, if any
     body: Span | None = None  # first token after the package and imports; None when wrapped
-
-
-@dataclass
-class VarDeclStmt:
-    var_type: TypeName
-    name: str
-    name_span: Span
-    init: object | None
-    span: Span
 
 
 @dataclass
@@ -330,7 +323,7 @@ class _Parser:
         self.expect("}")
         return ClassDecl(name.text, extends, members, start.span)
 
-    def _member(self) -> MethodDecl | FieldDecl:
+    def _member(self) -> MethodDecl | VarDecl:
         self._skip_modifiers()
         member_type = self._type_name()
         name = self.expect_ident("a member name")
@@ -338,24 +331,28 @@ class _Parser:
             params = self._params()
             body = self._block()
             return MethodDecl(member_type, name.text, name.span, params, body, member_type.span)
-        init = None
-        if self.at("="):
-            self.advance()
-            init = self._expression()
+        field = self._declarator(member_type, name)
         self.expect(";")
-        return FieldDecl(member_type, name.text, name.span, init, member_type.span)
+        return field
 
-    def _params(self) -> list[Param]:
+    def _params(self) -> list[VarDecl]:
         self.expect("(")
-        params: list[Param] = []
+        params: list[VarDecl] = []
         while not self.at(")"):
             if params:
                 self.expect(",")
             param_type = self._type_name()
             name = self.expect_ident("a parameter name")
-            params.append(Param(param_type, name.text, name.span))
+            params.append(VarDecl(param_type, name.text, name.span, None, param_type.span))
         self.expect(")")
         return params
+
+    def _declarator(self, var_type: TypeName, name: Token) -> VarDecl:
+        init = None
+        if self.at("="):
+            self.advance()
+            init = self._expression()
+        return VarDecl(var_type, name.text, name.span, init, var_type.span)
 
     def _type_name(self) -> TypeName:
         token = self.peek()
@@ -419,55 +416,41 @@ class _Parser:
                 value = None if self.at(";") else self._expression()
                 self.expect(";")
                 return ReturnStmt(value, token.span)
-            if token.text in PRIMITIVES:
-                return self._var_decl(consume_semi=True)
             if token.text in ("class", "import"):
                 raise self.error("declarations are not allowed inside a snippet body")
-            if token.text not in ("new", "true", "false", "null"):
+            if token.text not in PRIMITIVES and token.text not in ("new", "true", "false", "null"):
                 raise self.error("expected a statement")
-        if token.kind == "ident":
-            decl = self._maybe_var_decl(consume_semi=True)
-            if decl is not None:
-                return decl
-        return self._expr_or_assign(consume_semi=True)
+        stmt = self._simple_statement()
+        self.expect(";")
+        return stmt
 
-    def _var_decl(self, consume_semi: bool) -> VarDeclStmt:
+    def _simple_statement(self):
+        """A declaration, assignment or expression, without its ``;``."""
+        if not self._at_declaration():
+            return self._assignment_or_expression()
         var_type = self._type_name()
-        name = self.expect_ident("a variable name")
-        init = None
-        if self.at("="):
-            self.advance()
-            init = self._expression()
-        if consume_semi:
-            self.expect(";")
-        return VarDeclStmt(var_type, name.text, name.span, init, var_type.span)
+        return self._declarator(var_type, self.expect_ident("a variable name"))
 
-    def _maybe_var_decl(self, consume_semi: bool) -> VarDeclStmt | None:
-        # Tentative: "Name.Name... ident" starts a declaration, anything else
-        # backtracks to the expression path.
+    def _at_declaration(self) -> bool:
+        # A primitive keyword or "Name.Name... ident" starts a declaration.
+        token = self.peek()
+        if token.kind != "ident":
+            return token.kind == "kw" and token.text in PRIMITIVES
         save = self.pos
         self._qualified_name()
         self._reject_type_suffix()
-        if self.peek().kind != "ident":
-            self.pos = save
-            return None
+        found = self.peek().kind == "ident"
         self.pos = save
-        return self._var_decl(consume_semi)
+        return found
 
-    def _expr_or_assign(self, consume_semi: bool):
+    def _assignment_or_expression(self):
         expr = self._expression()
-        span = getattr(expr, "span", _ZERO)
-        if self.at("="):
-            if not isinstance(expr, (Identifier, FieldAccess)):
-                raise self.error("invalid assignment target")
-            self.advance()
-            value = self._expression()
-            if consume_semi:
-                self.expect(";")
-            return AssignStmt(expr, value, span)
-        if consume_semi:
-            self.expect(";")
-        return ExprStmt(expr, span)
+        if not self.at("="):
+            return ExprStmt(expr, expr.span)
+        if not isinstance(expr, (Identifier, FieldAccess)):
+            raise self.error("invalid assignment target")
+        self.advance()
+        return AssignStmt(expr, self._expression(), expr.span)
 
     def _if_stmt(self) -> IfStmt:
         # An `else if` ladder is read with a loop at one nesting level, then
@@ -507,20 +490,11 @@ class _Parser:
         start = self.expect("for")
         self.nest(start)
         self.expect("(")
-        init = None
-        if not self.at(";"):
-            if self.peek().kind == "kw" and self.peek().text in PRIMITIVES:
-                init = self._var_decl(consume_semi=False)
-            elif self.peek().kind == "ident":
-                init = self._maybe_var_decl(consume_semi=False)
-                if init is None:
-                    init = self._expr_or_assign(consume_semi=False)
-            else:
-                init = self._expr_or_assign(consume_semi=False)
+        init = None if self.at(";") else self._simple_statement()
         self.expect(";")
         cond = None if self.at(";") else self._expression()
         self.expect(";")
-        update = None if self.at(")") else self._expr_or_assign(consume_semi=False)
+        update = None if self.at(")") else self._assignment_or_expression()
         self.expect(")")
         body = self._statement()
         self.depth -= 1

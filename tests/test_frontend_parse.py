@@ -26,7 +26,7 @@ from depsketch.frontend.parser import (
     NewExpr,
     ReturnStmt,
     Unary,
-    VarDeclStmt,
+    VarDecl,
     WhileStmt,
 )
 
@@ -209,14 +209,14 @@ class TestParseStatements:
 
     def test_var_decl_with_init(self):
         decl = self.stmt("Pattern p = Pattern.compile(regex);")
-        assert isinstance(decl, VarDeclStmt)
+        assert isinstance(decl, VarDecl)
         assert decl.var_type.text == "Pattern"
         assert decl.name == "p"
         assert isinstance(decl.init, MethodCall)
 
     def test_qualified_type_decl(self):
         decl = self.stmt("java.util.regex.Pattern p;")
-        assert isinstance(decl, VarDeclStmt)
+        assert isinstance(decl, VarDecl)
         assert decl.var_type.text == "java.util.regex.Pattern"
         assert decl.init is None
 
@@ -248,7 +248,7 @@ class TestParseStatements:
     def test_for_full(self):
         stmt = self.stmt("for (int i = 0; i < n; i = i + 1) { go(i); }")
         assert isinstance(stmt, ForStmt)
-        assert isinstance(stmt.init, VarDeclStmt)
+        assert isinstance(stmt.init, VarDecl)
         assert isinstance(stmt.cond, Binary)
         assert isinstance(stmt.update, AssignStmt)
 
@@ -373,11 +373,16 @@ class TestForHeaderAndDeclarators:
             ("1:25-1:39", "1:40-1:41"),
         ]
 
+    def test_parameters_take_no_initializer(self):
+        with pytest.raises(JavaSyntaxError) as err:
+            parse_unit("class A { void m(int a = 1) {} }")
+        assert str(err.value) == "1:24: expected ',', found '='"
+
     @staticmethod
     def form(stmt) -> str | None:
         if stmt is None:
             return None
-        if isinstance(stmt, VarDeclStmt):
+        if isinstance(stmt, VarDecl):
             return "declaration"
         return {AssignStmt: "assignment", ExprStmt: "expression"}[type(stmt)]
 
