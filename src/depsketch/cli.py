@@ -10,6 +10,7 @@ Diagnostics go to stderr, data to stdout.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
@@ -64,10 +65,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_source(spec: str) -> str:
+def _read_source(spec: str) -> tuple[str, str]:
+    """The text of file *spec* or of stdin (``-``), with its newline style.
+
+    Both are read untranslated, then ``\\r\\n`` and ``\\r`` become ``\\n``.  The
+    style is the one line ending the input uses throughout, else ``\\n``.
+    """
     if spec == "-":
-        return read_utf8("<stdin>", DepsketchError, _read_stdin)
-    return read_utf8(spec, DepsketchError)
+        raw = read_utf8("<stdin>", DepsketchError, _read_stdin)
+    else:
+        raw = read_utf8(spec, DepsketchError, lambda: Path(spec).read_bytes().decode("utf-8"))
+    stream = io.StringIO(raw, newline=None)
+    text = stream.read()
+    return text, stream.newlines if isinstance(stream.newlines, str) else "\n"
 
 
 def _read_stdin() -> str:
@@ -110,7 +120,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_sketch(args: argparse.Namespace) -> int:
-    text = _read_source(args.source)
+    text, _ = _read_source(args.source)
     _, analysis = sketch_source(text, allow_wrap=args.wrapped == "true")
     for sketch in analysis.sketches:
         line = f"{'U' if sketch.has_holes else 'R'} {sketch.render()}"
@@ -123,7 +133,7 @@ def cmd_sketch(args: argparse.Namespace) -> int:
 def cmd_resolve(args: argparse.Namespace) -> int:
     kb = KnowledgeBase.load(args.kb)
     declared = _parse_coordinates(args.declared)
-    text = _read_source(args.source)
+    text, newline = _read_source(args.source)
     resolution = resolve(
         text, kb, declared, strict=args.strict, require_unit=args.wrapped == "false"
     )
@@ -131,7 +141,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
         _write_output(args.emit_cnf, dump_problem(resolution.problem, resolution.variable_names))
     if args.patch:
         patched = emit_patch(resolution, resolution.snippet.source, partial=args.partial)
-        _write_output(args.patch, patched)
+        _write_output(args.patch, patched.replace("\n", newline))
     if args.output == "machine":
         print(json.dumps(build_report(resolution), indent=2, sort_keys=True))
     else:

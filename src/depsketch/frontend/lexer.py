@@ -2,7 +2,7 @@
 
 Token grammar, tried in this order at each position:
 
-    skip    blanks (space, tab, CR, LF), ``// ...`` and ``/* ... */``
+    skip    blanks (space, tab, CR, LF), ``// ...`` to a CR or LF, ``/* ... */``
     word    ``$`` or a word character that is not a decimal digit, then
             word characters or ``$``; a keyword if in `KEYWORDS`
     number  decimal digits with an optional ``.digits`` fraction and an
@@ -64,7 +64,7 @@ class Token(NamedTuple):
 # Each named group is a token kind, or `skip`, `word` or one of `_ERRORS`.
 _TOKEN = re.compile(r"""
     (?P<word>(?:[^\W\d]|\$)[\w$]*)
-  | (?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)+)
+  | (?P<skip>(?:[ \t\r\n]+|//[^\r\n]*|/\*[\s\S]*?\*/)+)
   | (?P<float>\d+(?:\.\d+)?[fF])
   | (?P<bad_suffix>\d+\.\d+[lL])
   | (?P<long>\d+[lL])

@@ -380,6 +380,79 @@ class TestResolve:
         assert code == 0
 
 
+def _posix_stdin(monkeypatch, data: bytes) -> None:
+    # stdin as Python opens it on POSIX: lines split at "\n", nothing translated
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+    monkeypatch.setattr("sys.stdin", stream)
+
+
+COMMENTED = 'String s = "a"; // note\nPattern p = Pattern.compile(s);\n'
+UNIT = "package a;\nclass A { void go(String s) {\n  Pattern p = Pattern.compile(s);\n} }\n"
+
+
+class TestLineEndings:
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_stdin_and_file_sketch_alike(self, newline, tmp_path, capsys, monkeypatch):
+        data = COMMENTED.replace("\n", newline).encode()
+        path = tmp_path / "snippet.java"
+        path.write_bytes(data)
+        assert main(["sketch", "--spans", str(path)]) == 0
+        from_file = capsys.readouterr().out
+        _posix_stdin(monkeypatch, data)
+        assert main(["sketch", "--spans", "-"]) == 0
+        assert capsys.readouterr().out == from_file
+        assert from_file.splitlines() == [
+            "R java.lang.String 1:1-1:7 1:8-1:9 2:29-2:30",
+            "U ?.Pattern 2:1-2:8 2:13-2:20 2:9-2:10",
+            "U ?.compile(java.lang.String)? 2:21-2:28",
+        ]
+
+    def test_real_stdin_and_file_sketch_alike(self, tmp_path):
+        data = COMMENTED.replace("\n", "\r").encode()
+        path = tmp_path / "snippet.java"
+        path.write_bytes(data)
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "depsketch", "sketch", "--spans", spec],
+                input=data, capture_output=True,
+            )
+            for spec in (str(path), "-")
+        ]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
+        assert len(runs[0].stdout.splitlines()) == 3
+
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_patch_keeps_the_input_line_endings(self, newline, via, kb_path, tmp_path, monkeypatch):
+        data = UNIT.replace("\n", newline).encode()
+        source = tmp_path / "unit.java"
+        source.write_bytes(data)
+        if via == "stdin":
+            _posix_stdin(monkeypatch, data)
+        patched = tmp_path / "patched.java"
+        spec = str(source) if via == "file" else "-"
+        assert main(["resolve", spec, "--kb", str(kb_path), "--patch", str(patched)]) == 0
+        head = f"package a;{newline}".encode()
+        imports = f"import java.util.regex.Pattern;{newline}".encode()
+        assert patched.read_bytes() == head + imports + data[len(head):]
+
+    def test_patch_of_wrapped_stdin_to_stdout(self, kb_path, capsys, monkeypatch):
+        data = b"Matcher m = null;\r\nm.find();\r\n"
+        _posix_stdin(monkeypatch, data)
+        assert main(["resolve", "-", "--kb", str(kb_path), "--patch", "-"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("import java.util.regex.Matcher;\r\n" + data.decode())
+
+    def test_mixed_line_endings_patch_with_lf(self, kb_path, tmp_path):
+        source = tmp_path / "unit.java"
+        source.write_bytes(UNIT.replace("\n", "\r\n", 1).encode())
+        patched = tmp_path / "patched.java"
+        assert main(["resolve", str(source), "--kb", str(kb_path), "--patch", str(patched)]) == 0
+        head = "package a;\nimport java.util.regex.Pattern;\n"
+        assert patched.read_bytes() == (head + UNIT.split("\n", 1)[1]).encode()
+
+
 class TestStatsAndUsage:
     def test_stats_line(self, kb_path, capsys):
         code = main(["stats", "--kb", str(kb_path)])

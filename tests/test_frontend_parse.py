@@ -128,6 +128,11 @@ class TestTokenize:
             tokenize('x = \n  "open')
         assert (err.value.line, err.value.col) == (2, 3)
 
+    @pytest.mark.parametrize("newline", ["\r", "\r\n", "\n"], ids=["cr", "crlf", "lf"])
+    def test_line_comment_ends_at_any_line_terminator(self, newline):
+        texts = [t.text for t in tokenize(f"a // note{newline}b = 1;") if t.kind != "eof"]
+        assert texts == ["a", "b", "=", "1", ";"]
+
 
 class TestParseUnit:
     def test_fixture_structure(self, snippet_source):
