@@ -154,11 +154,7 @@ class Transcript:
         self._section("stdout", stdout.getvalue().encode("utf-8"))
         self._section("stderr", stderr.getvalue().encode("utf-8"))
         for name in files:
-            path = self.work / name
-            if path.exists():
-                self._section(f"file {name}", path.read_bytes())
-            else:
-                self.out += f"--- file {name}: not written\n".encode()
+            self._section(f"file {name}", (self.work / name).read_bytes())
 
     def _section(self, title: str, data: bytes) -> None:
         self.out += f"--- {title}: {len(data)} bytes\n".encode() + data + b"\n"
