@@ -5,8 +5,8 @@ Each case runs ``depsketch`` commands in-process, in a fresh directory, on
 fixed inputs, and records one transcript: every command line, its exit
 code, stdout, stderr, and the bytes of each file it writes.  The cases
 cover the fixture snippet against the demo knowledge base in every output
-form, a frontend-heavy unit, cost ties, one-line-unit patches, and one
-tiny request of each benchmark workload.
+form, a frontend-heavy unit, cost ties, one-line-unit patches, CR and
+CR LF line endings, and one tiny request of each benchmark workload.
 
 ``tests/test_golden.py`` regenerates every case and compares bytes.  Run
 this script only when an output change is intended, and say in that
@@ -123,6 +123,11 @@ ONE_LINE_HEADS = {
 }
 ONE_LINE_BODY = "class A { void go(String s) { Pattern p = Pattern.compile(s); } }"
 
+# A snippet with a line comment and a unit, written below with CR or CR LF
+# line endings (JLS 3.4), as the line-ending tests of `tests/test_cli.py` do.
+COMMENTED = 'String s = "a"; // note\nPattern p = Pattern.compile(s);\n'
+UNIT = "package a;\nclass A { void go(String s) {\n  Pattern p = Pattern.compile(s);\n} }\n"
+
 
 class Transcript:
     """Runs commands in one directory and records what each one did."""
@@ -205,6 +210,9 @@ CASES = {
         name: _case(RESOLVE_HUMAN, head + ONE_LINE_BODY, files=PATCHED)
         for name, head in ONE_LINE_HEADS.items()
     },
+    "line-ending-cr-sketch": _case(("sketch", "--spans", "snippet.java"), COMMENTED.replace("\n", "\r")),
+    "line-ending-crlf-patch": _case(RESOLVE_MACHINE, UNIT.replace("\n", "\r\n"), files=PATCHED),
+    "line-ending-cr-patch": _case(RESOLVE_MACHINE, UNIT.replace("\n", "\r"), files=PATCHED),
     **{
         f"workload-{name}": _case(RESOLVE_MACHINE, wl.requests[0].source, wl.listings, PATCHED)
         for name, wl in TINY.items()
