@@ -213,6 +213,9 @@ CASES = {
     "line-ending-cr-sketch": _case(("sketch", "--spans", "snippet.java"), COMMENTED.replace("\n", "\r")),
     "line-ending-crlf-patch": _case(RESOLVE_MACHINE, UNIT.replace("\n", "\r\n"), files=PATCHED),
     "line-ending-cr-patch": _case(RESOLVE_MACHINE, UNIT.replace("\n", "\r"), files=PATCHED),
+    "line-separator-in-comment-patch": _case(
+        RESOLVE_MACHINE, "package p; /* x\u2028y */\n" + ONE_LINE_BODY, files=PATCHED
+    ),
     **{
         f"workload-{name}": _case(RESOLVE_MACHINE, wl.requests[0].source, wl.listings, PATCHED)
         for name, wl in TINY.items()

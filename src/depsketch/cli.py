@@ -10,7 +10,6 @@ Diagnostics go to stderr, data to stdout.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from pathlib import Path
@@ -65,19 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_source(spec: str) -> tuple[str, str]:
-    """The text of file *spec* or of stdin (``-``), with its newline style.
-
-    Both are read untranslated, then ``\\r\\n`` and ``\\r`` become ``\\n``.  The
-    style is the one line ending the input uses throughout, else ``\\n``.
-    """
+def _read_source(spec: str) -> str:
+    """The text of file *spec* or of stdin (``-``), line endings untranslated."""
     if spec == "-":
-        raw = read_utf8("<stdin>", DepsketchError, _read_stdin)
-    else:
-        raw = read_utf8(spec, DepsketchError, lambda: Path(spec).read_bytes().decode("utf-8"))
-    stream = io.StringIO(raw, newline=None)
-    text = stream.read()
-    return text, stream.newlines if isinstance(stream.newlines, str) else "\n"
+        return read_utf8("<stdin>", DepsketchError, _read_stdin)
+    return read_utf8(spec, DepsketchError, lambda: Path(spec).read_bytes().decode("utf-8"))
 
 
 def _read_stdin() -> str:
@@ -90,7 +81,7 @@ def _write_output(spec: str, text: str) -> None:
     if spec == "-":
         sys.stdout.write(text)
     else:
-        Path(spec).write_text(text, encoding="utf-8")
+        Path(spec).write_text(text, encoding="utf-8", newline="")
 
 
 def _parse_coordinates(texts: list[str]) -> tuple[Coordinate, ...]:
@@ -120,7 +111,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_sketch(args: argparse.Namespace) -> int:
-    text, _ = _read_source(args.source)
+    text = _read_source(args.source)
     _, analysis = sketch_source(text, allow_wrap=args.wrapped == "true")
     for sketch in analysis.sketches:
         line = f"{'U' if sketch.has_holes else 'R'} {sketch.render()}"
@@ -133,15 +124,14 @@ def cmd_sketch(args: argparse.Namespace) -> int:
 def cmd_resolve(args: argparse.Namespace) -> int:
     kb = KnowledgeBase.load(args.kb)
     declared = _parse_coordinates(args.declared)
-    text, newline = _read_source(args.source)
+    text = _read_source(args.source)
     resolution = resolve(
         text, kb, declared, strict=args.strict, require_unit=args.wrapped == "false"
     )
     if args.emit_cnf:
         _write_output(args.emit_cnf, dump_problem(resolution.problem, resolution.variable_names))
     if args.patch:
-        patched = emit_patch(resolution, resolution.snippet.source, partial=args.partial)
-        _write_output(args.patch, patched.replace("\n", newline))
+        _write_output(args.patch, emit_patch(resolution, text, partial=args.partial))
     if args.output == "machine":
         print(json.dumps(build_report(resolution), indent=2, sort_keys=True))
     else:

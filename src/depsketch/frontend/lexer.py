@@ -9,7 +9,7 @@ Token grammar, tried in this order at each position:
             ``l``/``L`` (long) or ``d``/``D`` (double) suffix; an ``f``/``F``
             suffix, or ``L`` after a fraction, is an error at its start
     string  ``"..."`` and char ``'...'``: a backslash escapes any character,
-            a newline ends the literal unterminated
+            a CR or LF ends the literal unterminated
     punct   ``== != <= >= && || ->`` and one of ``{}();,.=<>!+-*/%[]@:``
 
 "Word character" and "decimal digit" are Unicode's, as in Python's ``\\w``
@@ -17,6 +17,8 @@ and ``\\d``: ``é``, ``ß`` or ``中`` spell identifiers, ``٣`` is a digit, and
 numeric characters that are not decimal digits (``²``, ``½``, ``Ⅻ``) are
 identifier characters.  Anything else is an unexpected character.
 
+Line terminators are `LINE_END`'s (JLS 3.4): CR LF, a lone CR, or LF.
+`tokenize` rewrites each to LF before lexing, which moves no token.
 Tokens carry 1-based line/column positions with exclusive end columns.
 Columns count characters from the last newline outside a literal; a
 string continued by a backslash-newline stays one token on its start line,
@@ -28,7 +30,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from ..model import PRIMITIVES, DepsketchError, Span
+from ..model import LINE_END, PRIMITIVES, DepsketchError, Span
 
 
 class JavaSyntaxError(DepsketchError):
@@ -88,6 +90,8 @@ _ERRORS = {
 
 
 def tokenize(source: str) -> list[Token]:
+    if "\r" in source:
+        source = LINE_END.sub("\n", source)
     tokens: list[Token] = []
     line, line_start, pos, end = 1, 0, 0, len(source)
     while pos < end:

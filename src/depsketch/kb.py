@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
-from .model import Coordinate, DepsketchError, EntryKind, KbEntry, Sketch, matches
+from .model import LINE_END, Coordinate, DepsketchError, EntryKind, KbEntry, Sketch, matches
 
 FORMAT_STAMP = "FQNKB v2"
 _END_RE = re.compile(r"end ([0-9]+) ([0-9]+)")
@@ -39,12 +39,13 @@ def read_utf8(
     """The UTF-8 text of file *name*, or what *read* returns if given.
 
     Text that does not decode raises ``error("name:line: ...")`` instead of a
-    bare codec error, so every reader names the input and the line.
+    bare codec error, so every reader names the input and the line, counted
+    as `LINE_END` counts them.
     """
     try:
         return read() if read is not None else Path(name).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        line_no = len(LINE_END.findall(exc.object[: exc.start].decode("utf-8"))) + 1
         raise error(
             f"{name}:{line_no}: not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from exc
@@ -73,10 +74,9 @@ class KnowledgeBase:
         # way `lookup` returns them; filled on first use, dropped on change.
         self._sorted_buckets: dict[str, list[tuple[KbEntry, str]]] = {}
         # What `load` left unparsed: the dump's sorted entry lines (empty once
-        # every section is parsed), the sections parsed so far, the parsed
+        # every section is parsed or filed in `_sorted_buckets`), the parsed
         # ``dep=`` coordinates, and the dump's path for error messages.
         self._lines: list[str] = []
-        self._parsed: set[str] = set()
         self._coordinates: dict[str, Coordinate] = {}
         self._path: str | Path = ""
 
@@ -221,7 +221,7 @@ class KnowledgeBase:
             index, key = self._index(sketch)
             pool = [(entry, variable_key(entry)) for entry in index.get(key, ())]
             pool.sort(key=lambda pair: (pair[1], pair[0].render()))
-            self._sorted_buckets[section] = pool
+            self._sorted_buckets[section] = pool  # only now: a failed section fails on every read
         return [pair for pair in pool if matches(sketch, pair[0])]
 
     def stats(self) -> dict[str, int]:
@@ -322,20 +322,18 @@ class KnowledgeBase:
         lines = self._lines
         start = bisect_left(lines, key + " ")
         self._parse_lines(range(start, bisect_left(lines, key + "!", start)))
-        self._parsed.add(key)  # only now: a section that failed fails on every read
 
     def _parse_all(self) -> None:
-        """Parse every line of the sections `lookup` has not parsed."""
+        """Parse every line of the sections `lookup` has not filed."""
         if not self._lines:
             return
-        parsed = self._parsed
+        parsed = self._sorted_buckets
         self._parse_lines(
             index
             for index, line in enumerate(self._lines)
             if line.partition(" dep=")[0] not in parsed
         )
         self._lines = []
-        self._parsed = set()
 
     def _parse_lines(self, indexes: Iterable[int]) -> None:
         """Add the entries of the dump lines at *indexes*, checking each line."""

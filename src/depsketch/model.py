@@ -35,6 +35,9 @@ JAVA_LANG_TYPES = frozenset(
     {"String", "Object", "Integer", "Boolean", "Character", "Double", "Long"}
 )
 
+#: A line terminator (JLS 3.4); every line split or count on snippet text uses it.
+LINE_END = re.compile(r"\r\n?|\n")
+
 # Every pattern below is used with ``fullmatch``: ``$`` would also accept a
 # trailing newline.
 _IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"

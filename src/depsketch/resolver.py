@@ -17,12 +17,13 @@ feasibility predicate forbids mixing two versions of one artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .frontend import Analysis, Snippet, sketch_source
 from .kb import KnowledgeBase
-from .model import Coordinate, DepsketchError, KbEntry, Sketch
+from .model import LINE_END, Coordinate, DepsketchError, KbEntry, Sketch
 from .solver import CoveringProblem, Model, solve_min
 
 
@@ -61,26 +62,17 @@ class Resolution:
         return self.model.cost
 
 
-@dataclass
-class _Candidates:
-    """One sketch's clause under construction."""
-
-    sketch: Sketch
-    entries: list[tuple[int, KbEntry]] = field(default_factory=list)
-
-
 def build_problem(
     sketches: Iterable[Sketch],
     kb: KnowledgeBase,
     declared: Iterable[Coordinate] = (),
-    *,
-    strict: bool = False,
-) -> tuple[CoveringProblem, list[str], list[Coordinate], list[_Candidates], list[str], list[str]]:
+) -> tuple[CoveringProblem, list[str], list[Coordinate], list[tuple[Sketch, list]], list[str], list[str]]:
     """Clauses for *sketches* against *kb*.
 
     Returns the problem, variable names, variable dependencies, per-sketch
-    candidates, builtin renders, and unresolved renders.  A hole-free sketch
-    nothing matches is taken as platform-provided unless ``strict``.
+    ``(sketch, [(variable, entry)])`` candidates in lookup order, builtin
+    renders, and unresolved renders.  A hole-free sketch nothing matches is
+    taken as platform-provided.
     """
     declared = set(declared)
     index_of: dict[str, int] = {}
@@ -92,19 +84,19 @@ def build_problem(
     group_weight: list[int] = []
     last_dep = group = None
     clauses: list[set[int]] = []
-    tables: list[_Candidates] = []
+    tables: list[tuple[Sketch, list[tuple[int, KbEntry]]]] = []
     builtins: list[str] = []
     unresolved: list[str] = []
 
     for sketch in sketches:
         found = kb.lookup(sketch)
         if not found:
-            if sketch.has_holes or strict:
+            if sketch.has_holes:
                 unresolved.append(sketch.render())
             else:
                 builtins.append(sketch.render())
             continue
-        table = _Candidates(sketch)
+        candidates: list[tuple[int, KbEntry]] = []
         clause: set[int] = set()
         for entry, key in found:
             index = index_of.get(key)
@@ -121,10 +113,10 @@ def build_problem(
                 deps.append(dep)
                 groups.append(group)
                 weights.append(group_weight[group])
-            table.entries.append((index, entry))
+            candidates.append((index, entry))
             clause.add(index)
         clauses.append(clause)
-        tables.append(table)
+        tables.append((sketch, candidates))
 
     sketch_count = len(tables) + len(builtins) + len(unresolved)
     genuine = [r for r in unresolved if "?" in r]
@@ -175,11 +167,11 @@ def resolve(
     snippet, analysis = sketch_source(source, allow_wrap=not require_unit)
     declared = tuple(declared_deps)
     problem, names, deps, tables, builtins, unresolved = build_problem(
-        analysis.sketches, kb, declared, strict=strict
+        analysis.sketches, kb, declared
     )
-    if strict and unresolved:
+    if strict and (unresolved or builtins):
         raise ResolutionError(
-            "no candidates for: " + ", ".join(sorted(unresolved))
+            "no candidates for: " + ", ".join(sorted(unresolved + builtins))
         )
     model = solve_min(
         problem,
@@ -189,19 +181,16 @@ def resolve(
 
     bindings: list[Binding] = []
     ambiguities: list[str] = []
-    for table in tables:
-        covering = [(index, entry) for index, entry in table.entries if index in model.true_vars]
-        keys = sorted({names[index] for index, _ in covering})
+    for sketch, candidates in tables:
+        # lookup order is (variable key, entry render): bind the first covering
+        covering = [(index, entry) for index, entry in candidates if index in model.true_vars]
+        keys = list(dict.fromkeys(names[index] for index, _ in covering))
         if len(keys) > 1:
             ambiguities.append(
-                f"{table.sketch.render()} is satisfied by {len(keys)} choices: " + ", ".join(keys)
+                f"{sketch.render()} is satisfied by {len(keys)} choices: " + ", ".join(keys)
             )
-        chosen_key = keys[0]
-        entry = min(
-            (entry for index, entry in covering if names[index] == chosen_key),
-            key=lambda e: e.render(),
-        )
-        bindings.append(Binding(table.sketch, entry, chosen_key))
+        index, entry = covering[0]
+        bindings.append(Binding(sketch, entry, names[index]))
 
     imports = sorted({binding.entry.provider_fqn for binding in bindings})
     dependencies = sorted({binding.entry.dep.render() for binding in bindings})
@@ -229,9 +218,11 @@ def emit_patch(resolution: Resolution, source: str, *, partial: bool = False) ->
     starts on the first line that begins after the declaration.  When the
     first token after the package and imports starts mid-line, behind one
     of them, that line is split before the token and the imports go
-    between.  Everything below the inserted block is byte-identical to the
-    input.  The ``java.lang`` package and dotless names need no import and
-    are skipped; so is anything the snippet already imports.  Unresolved
+    between.  Lines end as `LINE_END` says; the new ones end as every line
+    of the input does, or in LF when the input mixes line terminators.
+    Everything below the inserted block is byte-identical to the input.
+    The ``java.lang`` package and dotless names need no import and are
+    skipped; so is anything the snippet already imports.  Unresolved
     sketches block patching unless *partial*.
     """
     if resolution.unresolved and not partial:
@@ -246,20 +237,22 @@ def emit_patch(resolution: Resolution, source: str, *, partial: bool = False) ->
     ]
     if not wanted:
         return source
+    endings = set(LINE_END.findall(source)) if "\r" in source else {"\n"}
+    newline = endings.pop() if len(endings) == 1 else "\n"
     unit = resolution.snippet.unit
     package_end = 0
     if unit.package is not None:
         package_end = _offset(source, unit.package.end_line, unit.package.end_col)
     offset = 0
-    for line in source.splitlines(keepends=True):
-        if offset >= package_end and not line.strip().startswith("import "):
+    for end in chain((match.end() for match in LINE_END.finditer(source)), (len(source),)):
+        if offset >= package_end and not source[offset:end].strip().startswith("import "):
             break
-        offset += len(line)
-    block = "".join(f"import {fqn};\n" for fqn in wanted)
+        offset = end
+    block = "".join(f"import {fqn};{newline}" for fqn in wanted)
     if unit.body is not None:
         body = _offset(source, unit.body.line, unit.body.col)
         if body < offset:
-            return source[:body].rstrip(" \t") + "\n" + block + source[body:]
+            return source[:body].rstrip(" \t") + newline + block + source[body:]
     return source[:offset] + block + source[offset:]
 
 
@@ -271,5 +264,5 @@ def _offset(source: str, line: int, col: int) -> int:
     """
     offset = 0
     for _ in range(line - 1):
-        offset = source.index("\n", offset) + 1
+        offset = LINE_END.search(source, offset).end()
     return offset + col - 1

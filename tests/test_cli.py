@@ -327,6 +327,24 @@ class TestResolve:
         assert err.startswith(f"error: {bad}:2: not UTF-8 text")
         assert "codec" not in err
 
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            (["sketch", "{bad}"], b'String s = "a";\rPattern p = null;\r\xff\r'),
+            (
+                ["ingest", "--kb", "{tmp}/kb.txt", "--classes", "{bad}", "--dep", "g:a:1"],
+                b"# fine\r# fine\r# \xff\r",
+            ),
+        ],
+        ids=["sketch", "ingest-classes"],
+    )
+    def test_non_utf8_cr_only_input_names_the_line(self, tmp_path, capsys, command, data):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(data)
+        argv = [arg.format(tmp=tmp_path, bad=bad) for arg in command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}:3: not UTF-8 text")
+
     @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
     def test_non_utf8_stdin_exits_two_naming_it(self, capsys, monkeypatch, errors):
         # surrogateescape is how stdin decodes in UTF-8 mode
@@ -444,13 +462,24 @@ class TestLineEndings:
         out = capsys.readouterr().out
         assert out.startswith("import java.util.regex.Matcher;\r\n" + data.decode())
 
-    def test_mixed_line_endings_patch_with_lf(self, kb_path, tmp_path):
+    def test_patch_not_inside_a_comment_holding_a_line_separator(self, kb_path, tmp_path):
+        data = "package p; /* x\u2028y */\nclass A { void go(String s) { Pattern q = Pattern.compile(s); } }"
         source = tmp_path / "unit.java"
-        source.write_bytes(UNIT.replace("\n", "\r\n", 1).encode())
+        source.write_bytes(data.encode())
         patched = tmp_path / "patched.java"
         assert main(["resolve", str(source), "--kb", str(kb_path), "--patch", str(patched)]) == 0
-        head = "package a;\nimport java.util.regex.Pattern;\n"
-        assert patched.read_bytes() == (head + UNIT.split("\n", 1)[1]).encode()
+        head = "package p; /* x\u2028y */\n"
+        expected = head + "import java.util.regex.Pattern;\n" + data[len(head):]
+        assert patched.read_bytes() == expected.encode()
+
+    def test_mixed_line_endings_patch_keeps_the_input_bytes(self, kb_path, tmp_path):
+        data = UNIT.replace("\n", "\r\n", 1).encode()
+        source = tmp_path / "unit.java"
+        source.write_bytes(data)
+        patched = tmp_path / "patched.java"
+        assert main(["resolve", str(source), "--kb", str(kb_path), "--patch", str(patched)]) == 0
+        head = b"package a;\r\n"
+        assert patched.read_bytes() == head + b"import java.util.regex.Pattern;\n" + data[len(head):]
 
 
 class TestStatsAndUsage:

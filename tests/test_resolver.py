@@ -6,7 +6,7 @@ import pytest
 
 import depsketch.resolver as resolver_module
 from depsketch import KnowledgeBase, emit_patch, resolve
-from depsketch.frontend import JavaSyntaxError, wrap
+from depsketch.frontend import JavaSyntaxError, sketch_source, wrap
 from depsketch.kb import variable_key
 from depsketch.model import Coordinate, KbEntry, matches
 from depsketch.resolver import CoverageError, ResolutionError, build_problem
@@ -378,10 +378,15 @@ class TestEmitPatch:
             ("// x   \n" * 30, "{matcher}{pattern}" + "// x   \n" * 30),
             ("/" * 80 + "\npackage a;\n", "/" * 80 + "\npackage a;\n{matcher}{pattern}"),
             ("package a;\r", "package a;\r{matcher}{pattern}"),
+            # str.splitlines breaks at these, a Java line terminator does not
+            ("package a; /* x\u2028y */\n", "package a; /* x\u2028y */\n{matcher}{pattern}"),
+            ("package a; /* x\u2029y */\n", "package a; /* x\u2029y */\n{matcher}{pattern}"),
+            ("package a; /* x\x85y */\n", "package a; /* x\x85y */\n{matcher}{pattern}"),
         ],
         ids=[
             "package-line", "comments-and-two-lines", "package-and-import",
             "slash-banner", "comments-ending-in-blanks", "banner-and-package", "carriage-return",
+            "line-separator-in-comment", "paragraph-separator-in-comment", "next-line-in-comment",
         ],
     )
     def test_imports_go_below_the_package(self, fixture_kb, head, patched_head):
@@ -412,3 +417,28 @@ class TestEmitPatch:
         source = "Matcher m = null;"
         patched = emit_patch(resolve(source, fixture_kb), source)
         assert patched == "import java.util.regex.Matcher;\n" + source
+
+
+class TestLineEndings:
+    # CR LF, CR and LF each end one line (JLS 3.4). The string continued by
+    # a backslash and a line terminator is one token whatever the ending.
+    SNIPPET = 'String s = "a"; // note\nPattern p = Pattern.compile(s);\nString t = "b\\\nc"; p.matcher(t);\n'
+    UNIT = "package a;\nclass A { void go(String s) {\n  Pattern p = Pattern.compile(s);\n} }\n"
+
+    @staticmethod
+    def sketched(source: str) -> list[tuple[str, list[str]]]:
+        _, analysis = sketch_source(source)
+        return [(s.render(), [span.render() for span in s.occurrences]) for s in analysis.sketches]
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_sketches_and_spans_as_with_lf(self, newline):
+        expected = self.sketched(self.SNIPPET)
+        assert expected[1] == ("?.Pattern", ["2:1-2:8", "2:13-2:20", "2:9-2:10", "3:20-3:21"])
+        assert self.sketched(self.SNIPPET.replace("\n", newline)) == expected
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_patch_keeps_the_input_line_endings(self, fixture_kb, newline):
+        source = self.UNIT.replace("\n", newline)
+        head = f"package a;{newline}"
+        patched = emit_patch(resolve(source, fixture_kb), source)
+        assert patched == head + f"import java.util.regex.Pattern;{newline}" + source[len(head):]
