@@ -6,7 +6,8 @@ fixed inputs, and records one transcript: every command line, its exit
 code, stdout, stderr, and the bytes of each file it writes.  The cases
 cover the fixture snippet against the demo knowledge base in every output
 form, a frontend-heavy unit, cost ties, one-line-unit patches, CR and
-CR LF line endings, and one tiny request of each benchmark workload.
+CR LF line endings, a U+2028 in a comment above the class, and one tiny
+request of each benchmark workload.
 
 ``tests/test_golden.py`` regenerates every case and compares bytes.  Run
 this script only when an output change is intended, and say in that
