@@ -5,9 +5,9 @@ Each case runs ``depsketch`` commands in-process, in a fresh directory, on
 fixed inputs, and records one transcript: every command line, its exit
 code, stdout, stderr, and the bytes of each file it writes.  The cases
 cover the fixture snippet against the demo knowledge base in every output
-form, a frontend-heavy unit, cost ties, one-line-unit patches, CR and
-CR LF line endings, a U+2028 in a comment above the class, and one tiny
-request of each benchmark workload.
+form, a frontend-heavy unit, an operator-heavy snippet, cost ties,
+one-line-unit patches, CR and CR LF line endings, a U+2028 in a comment
+above the class, and one tiny request of each benchmark workload.
 
 ``tests/test_golden.py`` regenerates every case and compares bytes.  Run
 this script only when an output change is intended, and say in that
@@ -82,6 +82,18 @@ class Base {
     Object origin;
 }
 """
+
+# Every binary precedence level, unary chains, parenthesised calls and a
+# long flat `+` chain, over the demo knowledge base's names.
+OPERATORS = (
+    'String text = "a" + "b";\n'
+    "Pattern p = Pattern.compile(text" + "".join(f' + "{i}"' for i in range(60)) + ");\n"
+    "Matcher m = p.matcher((text));\n"
+    "boolean hit = !!m.find() || m.find() && -1 * 2 / 3 % 4 + 5 - 6 < 7 == (8 >= 9) != !(10 <= 11) && 12 > 13;\n"
+    "int n = - -(1 + 2) * -(3 - 4) % (p.matcher(text + hit).find() == hit)"
+    " + (Pattern.compile(text)).matcher(text).find();\n"
+    "if (!(p.matcher(text).find()) || (m.find())) { hit = !-!(m.find()); }\n"
+)
 
 # Cost ties: a snippet, its listings, and the extra `resolve` arguments.
 # (`tie-lone-name` is a tie among the demo knowledge base's three `Pattern`s.)
@@ -190,6 +202,12 @@ RESOLVE_HUMAN = ("resolve", "--kb", "kb.txt", "--patch", "patched.java", "snippe
 RESOLVE_MACHINE = ("resolve", "--kb", "kb.txt", "--output", "machine", "--patch", "patched.java", "snippet.java")
 TINY = {name: workloads.build(name, WORKLOAD_SEED, tiny=True) for name in workloads.WORKLOADS}
 
+
+def _operators(t: Transcript) -> None:
+    _case(("sketch", "--spans", "snippet.java"), OPERATORS)(t)
+    t.run(*RESOLVE_MACHINE, files=PATCHED)
+
+
 CASES = {
     "demo-ingest": lambda t: t.run(*DEMO_INGEST, files=("kb.txt",)),
     "demo-resolve-human": _case(("resolve", "--kb", "kb.txt", "snippet.java"), FIXTURE_SNIPPET),
@@ -202,6 +220,7 @@ CASES = {
     "demo-sketch-spans": _case(("sketch", "--spans", "snippet.java"), FIXTURE_SNIPPET),
     "demo-stats": _case(("stats", "--kb", "kb.txt")),
     "frontend-unit-sketch": _case(("sketch", "--spans", "snippet.java"), FRONTEND_UNIT),
+    "operators-sketch-and-patch": _operators,
     "tie-lone-name": _case(RESOLVE_MACHINE, "Pattern p = null;", files=PATCHED),
     **{
         name: _case(RESOLVE_MACHINE[:3] + declared + RESOLVE_MACHINE[3:], source, listings, PATCHED)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depsketch.frontend import (
     JavaSyntaxError,
@@ -469,6 +471,150 @@ class TestNestingLimit:
     def stmt(source: str):
         (statement,) = parse_statements(source)
         return statement
+
+
+class TestExpressionErrors:
+    @pytest.mark.parametrize(
+        "source, message, expected",
+        [
+            ("x = a +;", "1:8: expected an expression, found ';'", {"<expression>"}),
+            ("x = a + );", "1:9: expected an expression, found ')'", {"<expression>"}),
+            ("x = (a;", "1:7: expected ')', found ';'", {")"}),
+            ("f(a,);", "1:5: expected an expression, found ')'", {"<expression>"}),
+            ("x = a.;", "1:7: expected a member name, found ';'", {"<identifier>"}),
+            ("x = y -> z;", "1:7: lambdas are not supported, found '->'", set()),
+            ("x = new int();", "1:9: cannot instantiate a primitive type", set()),
+            ("x = @A y;", "1:5: annotations are not supported, found '@'", set()),
+            ("x = a == ;", "1:10: expected an expression, found ';'", {"<expression>"}),
+            ("x = a + " + "-" * 65 + "b;", "1:73: nesting deeper than 64 levels is not supported", set()),
+            (
+                "x = a * " + "(" * 65 + "b" + ")" * 65 + ";",
+                "1:73: nesting deeper than 64 levels is not supported",
+                set(),
+            ),
+        ],
+        ids=[
+            "missing-right-operand", "operator-then-paren", "unclosed-paren", "empty-argument",
+            "missing-member", "lambda", "new-primitive", "annotation", "missing-comparand",
+            "65-unary-minus", "65-parentheses",
+        ],
+    )
+    def test_message_position_and_expectations(self, source, message, expected):
+        with pytest.raises(JavaSyntaxError) as err:
+            parse_statements(source)
+        line, col, _ = message.split(":", 2)
+        assert str(err.value) == message
+        assert (err.value.line, err.value.col) == (int(line), int(col))
+        assert err.value.expected == frozenset(expected)
+
+
+# Binary operators from the loosest level to the tightest; all associate left.
+BINARY_LEVELS = (("||",), ("&&",), ("==", "!="), ("<", ">", "<=", ">="), ("+", "-"), ("*", "/", "%"))
+LEVEL_OF = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
+
+# Expression trees as tuples, the same shape `shape` reads off a parse.
+_leaves = st.one_of(
+    st.sampled_from(["a", "b", "value", "x1"]).map(lambda name: ("id", name)),
+    st.sampled_from(
+        [("int", "7"), ("long", "8L"), ("double", "2.5"), ("string", '"s"'), ("char", "'c'"),
+         ("boolean", "true"), ("null", "null")]
+    ).map(lambda lit: ("lit", *lit)),
+)
+
+
+def _extend(children):
+    names = st.sampled_from(["f", "get", "size"])
+    args = st.lists(children, max_size=2).map(tuple)
+    return st.one_of(
+        st.tuples(st.just("bin"), st.sampled_from(sorted(LEVEL_OF)), children, children),
+        st.tuples(st.just("un"), st.sampled_from(["!", "-"]), children),
+        st.tuples(st.just("call"), st.none() | children, names, args),
+        st.tuples(st.just("field"), children, names),
+    )
+
+
+EXPRESSIONS = st.recursive(_leaves, _extend, max_leaves=30)
+
+
+def render(tree, minimal: bool) -> str:
+    """Java text of *tree*: every operation in parentheses, or only where needed."""
+    kind = tree[0]
+    if kind == "id":
+        return tree[1]
+    if kind == "lit":
+        return tree[2]
+    if kind in ("call", "field"):
+        receiver = tree[1]
+        text = ""
+        if receiver is not None:
+            text = render(receiver, minimal)
+            if receiver[0] not in ("id", "call", "field"):
+                text = f"({text})"
+            text += "."
+        text += tree[2]
+        if kind == "call":
+            text += "(" + ", ".join(render(arg, minimal) for arg in tree[3]) + ")"
+        return text
+    if kind == "un":
+        operand = render(tree[2], minimal)
+        if tree[2][0] == "bin" or not minimal:
+            operand = f"({operand})"
+        text = tree[1] + operand
+    else:
+        _, op, left, right = tree
+        level = LEVEL_OF[op]
+        left_text, right_text = render(left, minimal), render(right, minimal)
+        if not minimal or (left[0] == "bin" and LEVEL_OF[left[1]] < level):
+            left_text = f"({left_text})"
+        if not minimal or (right[0] == "bin" and LEVEL_OF[right[1]] <= level):
+            right_text = f"({right_text})"
+        text = f"{left_text} {op} {right_text}"
+    return text if minimal else f"({text})"
+
+
+def shape(node):
+    """The tuple form of a parsed expression, spans left out."""
+    if isinstance(node, Identifier):
+        return ("id", node.name)
+    if isinstance(node, Literal):
+        return ("lit", node.kind, node.text)
+    if isinstance(node, Binary):
+        return ("bin", node.op, shape(node.left), shape(node.right))
+    if isinstance(node, Unary):
+        return ("un", node.op, shape(node.operand))
+    receiver = None if node.receiver is None else shape(node.receiver)
+    if isinstance(node, MethodCall):
+        return ("call", receiver, node.name, tuple(shape(arg) for arg in node.args))
+    assert isinstance(node, FieldAccess)
+    return ("field", receiver, node.name)
+
+
+def parse_expression(text: str):
+    (stmt,) = parse_statements(f"x = {text};")
+    return stmt.value
+
+
+class TestPrecedenceProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(EXPRESSIONS)
+    def test_minimal_and_full_parentheses_parse_to_the_drawn_tree(self, tree):
+        assert shape(parse_expression(render(tree, minimal=True))) == tree
+        assert shape(parse_expression(render(tree, minimal=False))) == tree
+
+    @pytest.mark.parametrize(
+        "text, tree",
+        [
+            ("a - b - c", ("bin", "-", ("bin", "-", ("id", "a"), ("id", "b")), ("id", "c"))),
+            ("a - (b - c)", ("bin", "-", ("id", "a"), ("bin", "-", ("id", "b"), ("id", "c")))),
+            ("a == b != c", ("bin", "!=", ("bin", "==", ("id", "a"), ("id", "b")), ("id", "c"))),
+            ("a || b && c", ("bin", "||", ("id", "a"), ("bin", "&&", ("id", "b"), ("id", "c")))),
+            ("-a * b", ("bin", "*", ("un", "-", ("id", "a")), ("id", "b"))),
+            ("!a.b()", ("un", "!", ("call", ("id", "a"), "b", ()))),
+        ],
+    )
+    def test_renders_of_known_trees(self, text, tree):
+        assert render(tree, minimal=True) == text
+        assert shape(parse_expression(text)) == tree
 
 
 class TestWrap:
