@@ -97,10 +97,14 @@ class KnowledgeBase:
         seen.add((entry.render(), entry.dep))  # add, then compare sizes: one hash
         if len(seen) == size:
             return False
+        self._file(entry)
+        return True
+
+    def _file(self, entry: KbEntry) -> None:
+        """List *entry* and index it; `_seen` must already hold it."""
         self.entries.append(entry)
         index, key = self._index(entry)
         index.setdefault(key, []).append(entry)
-        return True
 
     def _index(self, item: KbEntry | Sketch) -> tuple[dict, object]:
         """The index holding *item*'s bucket, and the bucket's key in it."""
@@ -336,9 +340,15 @@ class KnowledgeBase:
         self._lines = []
 
     def _parse_lines(self, indexes: Iterable[int]) -> None:
-        """Add the entries of the dump lines at *indexes*, checking each line."""
+        """Add the entries of the dump lines at *indexes* once every line has passed.
+
+        Nothing is added when a line fails, so every later read of these
+        lines fails at the same line for the same reason.
+        """
         lines = self._lines
         coordinates = self._coordinates  # dep= text -> parsed, once per dump
+        parsed: list[KbEntry] = []
+        seen: set[tuple[str, Coordinate]] = set()
         for index in indexes:
             line = lines[index]
             key, sep, rest = line.partition(" dep=")
@@ -354,8 +364,14 @@ class KnowledgeBase:
                 raise self._error(index, str(exc)) from exc
             if section_key(entry) != key:
                 raise self._error(index, f"entry {listing!r} filed under key {key!r}")
-            if not self._add(entry):
+            size = len(seen)
+            seen.add((entry.render(), entry.dep))
+            if len(seen) == size:
                 raise self._error(index, f"duplicate entry {listing!r}")
+            parsed.append(entry)
+        self._seen |= seen  # no section parsed here was parsed before
+        for entry in parsed:
+            self._file(entry)
 
     def _error(self, index: int, reason: str) -> KbLoadError:
         return KbLoadError(f"{self._path}:{index + 2}: {reason}")  # entry lines follow the stamp

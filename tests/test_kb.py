@@ -330,18 +330,18 @@ class TestPersistence:
         assert str(err.value).startswith(f"{path}:3: unrecognized line")
 
     def test_failed_section_fails_again(self, tmp_path):
-        # a later read of a section that failed half-way must not answer
-        # from the entries parsed before the bad line
+        # a later read of a section that failed half-way must neither answer
+        # from nor trip over the entries parsed before the bad line
         path = tmp_path / "kb.txt"
         path.write_text(
             "FQNKB v2\nT C dep=g:a:1 T a.b.C\nT C dep=g:a:2 T a.b.C <: Object\nend 2 0\n"
         )
         kb = KnowledgeBase.load(path)
-        for _ in range(2):
-            with pytest.raises(KbLoadError):
-                kb.lookup(type_sketch("C"))
-        with pytest.raises(KbLoadError):
-            kb.stats()
+        reads = [lambda: kb.lookup(type_sketch("C"))] * 2 + [kb.stats] * 2
+        for read in reads:
+            with pytest.raises(KbLoadError) as err:
+                read()
+            assert str(err.value) == f"{path}:3: bad supertype: 'Object'"
 
     def test_load_parses_nothing_and_lookup_one_section(self, fixture_kb, tmp_path):
         path = tmp_path / "kb.txt"
