@@ -13,8 +13,10 @@ Grammar, roughly:
     simple    := type IDENT declarator | update
     update    := target '=' expr | expr
     for       := 'for' '(' simple? ';' expr? ';' update? ')' statement
-    expr      := the usual precedence ladder down to postfix chains of
-                 '.name' field accesses and '.name(args)' calls
+    expr      := unary (binop unary)*, binop by level, loosest first, each
+                 level grouping left: || | && | == != | < > <= >= | + - | * / %
+    unary     := ('!' | '-') unary | primary, then '.name' field accesses
+                 and '.name(args)' calls
 
 No generics, lambdas, arrays, or annotations; those fail with a message
 saying so rather than a generic complaint.  Snippets that are bare
@@ -34,9 +36,12 @@ from .lexer import JavaSyntaxError, MODIFIER_KEYWORDS, Token, tokenize
 _ZERO = Span(1, 1, 1, 1)
 # Deepest nesting of parentheses, argument lists, unary operators, blocks
 # and if/while/for bodies (a whole `else if` ladder is one level); each level
-# costs up to about 12 interpreter frames, so this stays well inside the
+# costs the parser 4 to 10 interpreter frames, so this stays well inside the
 # default recursion limit.
 MAX_NESTING = 64
+# Binary operator -> precedence level, as in the grammar above.
+_LEVELS = {"||": 0, "&&": 1, "==": 2, "!=": 2, "<": 3, ">": 3, "<=": 3, ">=": 3,
+           "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
 
 
 # -- AST ---------------------------------------------------------------------
@@ -217,8 +222,8 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -227,7 +232,8 @@ class _Parser:
         return token
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("punct", "kw")
+        token = self.tokens[self.pos]
+        return token.text == text and token.kind in ("punct", "kw")
 
     def error(self, message: str, token: Token | None = None, expected: set[str] = ()) -> JavaSyntaxError:
         token = token or self.peek()
@@ -360,8 +366,7 @@ class _Parser:
             self.advance()
             name = TypeName(token.text, token.span)
         elif token.kind == "ident":
-            text, span = self._qualified_name()
-            name = TypeName(text, span)
+            name = TypeName(*self._qualified_name())
         else:
             raise self.error("expected a type name", expected={"<type>"})
         self._reject_type_suffix()
@@ -371,7 +376,7 @@ class _Parser:
         first = self.expect_ident("a type name")
         parts = [first.text]
         last = first
-        while self.at(".") and self.peek(1).kind == "ident":
+        while self.at(".") and self.tokens[self.pos + 1].kind == "ident":  # a "." is never last
             self.advance()
             last = self.advance()
             parts.append(last.text)
@@ -508,29 +513,26 @@ class _Parser:
             raise self.error("lambdas are not supported")
         return expr
 
-    _LEVELS = (("||",), ("&&",), ("==", "!="), ("<", ">", "<=", ">="), ("+", "-"), ("*", "/", "%"))
-
-    def _binary(self, level: int):
-        if level == len(self._LEVELS):
-            return self._unary()
-        left = self._binary(level + 1)
-        while self.peek().kind == "punct" and self.peek().text in self._LEVELS[level]:
-            op = self.advance()
-            right = self._binary(level + 1)
-            left = Binary(op.text, left, right, op.span)
-        return left
+    def _binary(self, floor: int):
+        """Unary operands joined by operators of level *floor* or above."""
+        left = self._unary()
+        while True:
+            op = self.tokens[self.pos]
+            level = _LEVELS.get(op.text, -1)  # only punctuation spells an operator
+            if level < floor:
+                return left
+            self.pos += 1
+            left = Binary(op.text, left, self._binary(level + 1), op.span)
 
     def _unary(self):
-        token = self.peek()
+        """A prefix operator and its operand, or a primary with its member suffixes."""
+        token = self.tokens[self.pos]
         if token.kind == "punct" and token.text in ("!", "-"):
-            self.advance()
+            self.pos += 1
             self.nest(token)
             operand = self._unary()
             self.depth -= 1
             return Unary(token.text, operand, token.span)
-        return self._postfix()
-
-    def _postfix(self):
         expr = self._primary()
         while self.at("."):
             self.advance()
@@ -543,17 +545,14 @@ class _Parser:
         return expr
 
     def _primary(self):
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind in ("int", "long", "double", "string", "char"):
             self.advance()
             return Literal(token.kind, token.text, token.span)
         if token.kind == "kw":
-            if token.text in ("true", "false"):
+            if token.text in ("true", "false", "null"):
                 self.advance()
-                return Literal("boolean", token.text, token.span)
-            if token.text == "null":
-                self.advance()
-                return Literal("null", token.text, token.span)
+                return Literal("null" if token.text == "null" else "boolean", token.text, token.span)
             if token.text == "new":
                 self.advance()
                 new_type = self._type_name()

@@ -254,14 +254,35 @@ class KbEntry:
         raise ValueError(f"unknown entry tag {tag!r}")
 
 
-@dataclass(frozen=True)
 class Span:
-    """Half-open source region, 1-based lines and columns."""
+    """Half-open source region, 1-based lines and columns; never changed once made.
 
-    line: int
-    col: int
-    end_line: int
-    end_col: int
+    A plain class rather than a frozen dataclass, because the parser makes
+    one per token it keeps and the frozen ``__init__`` costs about three times
+    as much.  ``repr``, equality and hash are those the dataclass had.
+    """
+
+    __slots__ = ("line", "col", "end_line", "end_col")
+
+    def __init__(self, line: int, col: int, end_line: int, end_col: int) -> None:
+        self.line = line
+        self.col = col
+        self.end_line = end_line
+        self.end_col = end_col
+
+    def _fields(self) -> tuple[int, int, int, int]:
+        return (self.line, self.col, self.end_line, self.end_col)
+
+    def __repr__(self) -> str:
+        return f"Span(line={self.line}, col={self.col}, end_line={self.end_line}, end_col={self.end_col})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def render(self) -> str:
         return f"{self.line}:{self.col}-{self.end_line}:{self.end_col}"
