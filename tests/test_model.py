@@ -114,6 +114,15 @@ class TestSpan:
     def test_render(self):
         assert Span(3, 9, 3, 16).render() == "3:9-3:16"
 
+    def test_repr_equality_and_hash_follow_the_fields(self):
+        span = Span(3, 9, 3, 16)
+        assert repr(span) == "Span(line=3, col=9, end_line=3, end_col=16)"
+        assert span == Span(3, 9, 3, 16)
+        assert span != Span(3, 9, 3, 17)
+        assert span != (3, 9, 3, 16)
+        assert hash(span) == hash((3, 9, 3, 16))
+        assert len({span, Span(3, 9, 3, 16)}) == 1
+
 
 class TestSketch:
     def test_type_render(self):
