@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from depsketch.solver import (
     InfeasibleError,
     Model,
     SolverError,
+    _score,
     brute_force_min,
     check,
     dump_problem,
@@ -363,3 +366,41 @@ def test_determinism(problem):
         problem.num_vars, list(problem.clauses), problem.weights, problem.forced
     )
     assert solve_min(rebuilt) == solve_min(problem)
+
+
+def _score_every_subset(problem, feasible, tie_key):
+    """The oracle's answer worked out the slow way: every subset that is a
+    feasible model, ranked by `_score`, with no early stop."""
+    subsets = (
+        frozenset(combo)
+        for size in range(problem.num_vars + 1)
+        for combo in combinations(range(problem.num_vars), size)
+    )
+    models = [s for s in subsets if check(problem, s) and (feasible is None or feasible(s))]
+    if not models:
+        return None
+    best = min(models, key=lambda s: _score(problem, s, tie_key))
+    return Model(best, problem.cost(best))
+
+
+@given(
+    problem=st.sampled_from([(1,), (2,), (1, 2, 3), (0, 1, 2), (0,)]).flatmap(
+        lambda pool: covering_problems(max_vars=8, max_clauses=6, weight_pool=pool, grouped=True)
+    ),
+    data=st.data(),
+)
+def test_oracle_matches_every_subset_scored(problem, data):
+    # uniform (1 and 2), mixed and zero weights, forced variables, groups,
+    # a conflict predicate and a tie_key, against one exhaustive ranking
+    forced = data.draw(st.sets(st.integers(0, problem.num_vars - 1), max_size=2))
+    problem = CoveringProblem(
+        problem.num_vars, problem.clauses, problem.weights, forced, problem.groups
+    )
+    feasible = data.draw(st.none() | conflict_predicates(max_vars=8))
+    tie_key = data.draw(st.sampled_from([None, lambda s: tuple(sorted(-v for v in s))]))
+    expected = _score_every_subset(problem, feasible, tie_key)
+    if expected is None:
+        with pytest.raises(InfeasibleError):
+            brute_force_min(problem, feasible=feasible, tie_key=tie_key)
+        return
+    assert brute_force_min(problem, feasible=feasible, tie_key=tie_key) == expected
