@@ -118,12 +118,10 @@ def build_problem(
         clauses.append(clause)
         tables.append((sketch, candidates))
 
-    sketch_count = len(tables) + len(builtins) + len(unresolved)
-    genuine = [r for r in unresolved if "?" in r]
-    if sketch_count and not clauses and genuine:
+    if unresolved and not clauses:
         raise CoverageError(
             "the knowledge base cannot cover any sketch in this snippet "
-            f"(first unresolved: {genuine[0]})"
+            f"(first unresolved: {unresolved[0]})"
         )
     problem = CoveringProblem(len(names), clauses, weights, groups=groups)
     return problem, names, deps, tables, builtins, unresolved

@@ -254,62 +254,29 @@ def brute_force_min(
 ) -> Model:
     """Reference answer by direct enumeration; capped at 25 variables.
 
-    Uniform positive weights enumerate by cardinality and stop at the first
-    covering size; otherwise every subset is scored.  Agreement with
+    Subsets of the free variables join ``forced`` by increasing size.  When
+    every weight is one positive value, the first size that holds a model
+    holds the best one; otherwise every size is scored.  Agreement with
     ``solve_min`` on the chosen set is guaranteed for positive weights.
     """
     if problem.num_vars > _BRUTE_FORCE_CAP:
         raise SolverError(f"brute force is capped at {_BRUTE_FORCE_CAP} variables")
-    if len(set(problem.weights)) <= 1 and 0 not in problem.weights:
-        model = _brute_uniform(problem, feasible, tie_key)
-    else:
-        model = _brute_general(problem, feasible, tie_key)
-    if model is None:
-        raise InfeasibleError("no cover satisfies the constraints")
-    return model
-
-
-def _covers(problem: CoveringProblem, variables: frozenset[int]) -> bool:
-    return all(clause & variables for clause in problem.clauses)
-
-
-def _brute_uniform(
-    problem: CoveringProblem, feasible: Feasible | None, tie_key: TieKey | None
-) -> Model | None:
+    uniform = len(set(problem.weights)) <= 1 and 0 not in problem.weights
     free = [v for v in range(problem.num_vars) if v not in problem.forced]
-    for extra in range(len(free) + 1):
-        hits = []
-        for combo in combinations(free, extra):
-            candidate = problem.forced.union(combo)
-            if _covers(problem, candidate) and (feasible is None or feasible(candidate)):
-                hits.append(candidate)
-        if hits:
-            best = min(hits, key=lambda c: _score(problem, c, tie_key))
-            return Model(best, problem.cost(best))
-    return None
-
-
-def _brute_general(
-    problem: CoveringProblem, feasible: Feasible | None, tie_key: TieKey | None
-) -> Model | None:
-    clause_masks = [sum(1 << v for v in clause) for clause in problem.clauses]
-    forced_mask = sum(1 << v for v in problem.forced)
     best: tuple | None = None
-    best_set: frozenset[int] | None = None
-    for mask in range(1 << problem.num_vars):
-        if mask & forced_mask != forced_mask:
-            continue
-        if any(not mask & clause_mask for clause_mask in clause_masks):
-            continue
-        candidate = frozenset(v for v in range(problem.num_vars) if mask >> v & 1)
-        if feasible is not None and not feasible(candidate):
-            continue
-        key = _score(problem, candidate, tie_key)
-        if best is None or key < best:
-            best, best_set = key, candidate
-    if best_set is None:
-        return None
-    return Model(best_set, problem.cost(best_set))
+    best_vars: frozenset[int] | None = None
+    for size in range(len(free) + 1):
+        for combo in combinations(free, size):
+            candidate = problem.forced.union(combo)
+            if check(problem, candidate) and (feasible is None or feasible(candidate)):
+                key = _score(problem, candidate, tie_key)
+                if best is None or key < best:
+                    best, best_vars = key, candidate
+        if uniform and best_vars is not None:
+            break
+    if best_vars is None:
+        raise InfeasibleError("no cover satisfies the constraints")
+    return Model(best_vars, problem.cost(best_vars))
 
 
 def check(problem: CoveringProblem, true_vars: frozenset[int]) -> bool:
