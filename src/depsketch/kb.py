@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 from .model import LINE_END, Coordinate, DepsketchError, EntryKind, KbEntry, Sketch, matches
@@ -49,6 +49,19 @@ def read_utf8(
         raise error(
             f"{name}:{line_no}: not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from exc
+
+
+def _content_lines(
+    path: str | Path, error: Callable[[str], DepsketchError]
+) -> Iterator[tuple[int, str]]:
+    """Number and stripped text of each line of *path* that is neither blank
+    nor a ``#`` comment.  `read_utf8` has turned CR LF and a lone CR into LF,
+    so lines end where `LINE_END` ends them.
+    """
+    for line_no, raw in enumerate(read_utf8(path, error).split("\n"), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
 
 
 class KnowledgeBase:
@@ -132,11 +145,7 @@ class KnowledgeBase:
         same listing a no-op.
         """
         added = 0
-        text = read_utf8(path, ListingError)
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line_no, line in _content_lines(path, ListingError):
             try:
                 entry = KbEntry.from_listing(line, dep)
             except ValueError as exc:
@@ -152,28 +161,26 @@ class KnowledgeBase:
         """
         self._parse_all()
         added = 0
-        text = read_utf8(path, GroundTruthError)
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.count("->") != 1:
-                raise GroundTruthError(
-                    f"{path}:{line_no}: expected one '->' separator in {line!r}"
-                )
-            left_text, _, right_text = line.partition("->")
+        for line_no, line in _content_lines(path, GroundTruthError):
             try:
-                left = Coordinate.parse(left_text.strip())
-                relations = self.ground_truth.setdefault(left, set())
-                right_text = right_text.strip()
-                if right_text:
-                    right = Coordinate.parse(right_text)
-                    if right not in relations:
-                        relations.add(right)
-                        added += 1
+                added += self._relate(line)
             except ValueError as exc:
                 raise GroundTruthError(f"{path}:{line_no}: {exc}") from exc
         return added
+
+    def _relate(self, line: str) -> int:
+        """Add the relation of ground-truth line *line*, ``g:a:v -> g:a:v``,
+        or register the bare left side of ``g:a:v ->``; returns the number
+        of new relations.  Any other line raises ValueError.
+        """
+        if line.count("->") != 1:
+            raise ValueError(f"expected one '->' separator in {line!r}")
+        left, _, right = line.partition("->")
+        relations = self.ground_truth.setdefault(Coordinate.parse(left.strip()), set())
+        size = len(relations)
+        if right.strip():
+            relations.add(Coordinate.parse(right.strip()))
+        return len(relations) - size
 
     def filter_against_ground_truth(self) -> int:
         """Drop entries whose dependency version the ground truth contradicts.
@@ -276,8 +283,9 @@ class KnowledgeBase:
         `KbEntry.from_listing` included, when it is first parsed (see
         `lookup`), and `stats` parses them all.
         """
-        text = read_utf8(path, KbLoadError)
-        lines = text.splitlines()
+        lines = read_utf8(path, KbLoadError).split("\n")  # as `_content_lines` splits
+        if not lines[-1]:
+            lines.pop()  # what follows the last LF
         if not lines or lines[0] != FORMAT_STAMP:
             found = lines[0] if lines else "<empty file>"
             hint = ""
@@ -301,14 +309,8 @@ class KnowledgeBase:
         for line_no, line in enumerate(lines[gt_start:-1], start=gt_start + 1):
             if not line.startswith("gt "):
                 raise KbLoadError(f"{path}:{line_no}: unrecognized line {line!r}")
-            left_text, arrow, right_text = line[3:].partition(" ->")
-            if not arrow:
-                raise KbLoadError(f"{path}:{line_no}: bad ground-truth line")
             try:
-                left = Coordinate.parse(left_text.strip())
-                relations = kb.ground_truth.setdefault(left, set())
-                if right_text.strip():
-                    relations.add(Coordinate.parse(right_text.strip()))
+                kb._relate(line[3:])
             except ValueError as exc:
                 raise KbLoadError(f"{path}:{line_no}: {exc}") from exc
         kb._lines = block

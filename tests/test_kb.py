@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from depsketch import Coordinate, KnowledgeBase
+from depsketch import Coordinate, DepsketchError, KnowledgeBase
 from depsketch.kb import GroundTruthError, KbLoadError, ListingError
 from depsketch.model import EntryKind, KbEntry, Sketch
 
@@ -205,6 +205,48 @@ class TestGroundTruth:
         assert len(fixture_kb.lookup(type_sketch("Widget"))) == 1  # artifact never seen, kept
         assert fixture_kb.filter_against_ground_truth() == 0
 
+    @pytest.mark.parametrize(
+        ("text", "expected"),
+        [
+            ("a:b:1 -> c:d:1", {"a:b:1": {"c:d:1"}}),
+            ("a:b:1 ->", {"a:b:1": set()}),
+            ("a:b:1-> c:d:1", {"a:b:1": {"c:d:1"}}),
+            ("a:b:1 ->c:d:1", {"a:b:1": {"c:d:1"}}),
+            ("a:b:1->", {"a:b:1": set()}),
+            ("a:b:1", "expected one '->' separator in 'a:b:1'"),
+            ("a:b:1 c:d:1", "expected one '->' separator in 'a:b:1 c:d:1'"),
+            ("a:b:1 -> c -> e", "expected one '->' separator in 'a:b:1 -> c -> e'"),
+            ("a:b:1 ->-> c:d:1", "expected one '->' separator in 'a:b:1 ->-> c:d:1'"),
+            ("a->b:c:1 -> d:e:1", "expected one '->' separator in 'a->b:c:1 -> d:e:1'"),
+            ("-> c:d:1", "expected group:artifact:version, got ''"),
+            ("a:b -> c:d:1", "expected group:artifact:version, got 'a:b'"),
+            ("a:b:1 -> c:d", "expected group:artifact:version, got 'c:d'"),
+            ("a:b:1 -> c:d:1 x", "bad coordinate version: '1 x'"),
+        ],
+    )
+    def test_relation_reads_alike_in_file_and_dump(self, tmp_path, text, expected):
+        # a dump's ``gt`` line is ``gt `` and a ground-truth file line
+        gt = tmp_path / "gt.txt"
+        gt.write_text(f"{text}\n")
+        dump = tmp_path / "kb.txt"
+        dump.write_text(f"FQNKB v2\ngt {text}\nend 0 1\n")
+
+        def ingest() -> KnowledgeBase:
+            kb = KnowledgeBase()
+            kb.ingest_ground_truth(gt)
+            return kb
+
+        for path, line_no, read in ((gt, 1, ingest), (dump, 2, lambda: KnowledgeBase.load(dump))):
+            try:
+                found = {
+                    key.render(): {value.render() for value in values}
+                    for key, values in read().ground_truth.items()
+                }
+            except DepsketchError as exc:
+                assert str(exc).startswith(f"{path}:{line_no}: ")
+                found = str(exc).removeprefix(f"{path}:{line_no}: ")
+            assert found == expected
+
     def test_relation_side_counts_as_known(self, tmp_path):
         gt = tmp_path / "gt.txt"
         gt.write_text("g:a:1 -> g2:b:2\n")
@@ -212,6 +254,78 @@ class TestGroundTruth:
         kb.add_entry(KbEntry(EntryKind.TYPE, "p.q", "R", dep=Coordinate.parse("g2:b:9")))
         kb.ingest_ground_truth(gt)
         assert kb.filter_against_ground_truth() == 1
+
+
+# Each line input: how to ingest it, a valid line, what the knowledge base
+# holds after it, an invalid line, and the error that line raises.
+_each_input = pytest.mark.parametrize(
+    ("ingest", "good", "held", "bad", "error"),
+    [
+        pytest.param(
+            lambda kb, path: kb.ingest_class_listing(path, JDK8),
+            "T a.b.C",
+            lambda kb: [entry.render() for entry in kb.entries],
+            "M a.b.C.run(",
+            ListingError,
+            id="listing",
+        ),
+        pytest.param(
+            KnowledgeBase.ingest_ground_truth,
+            "g:a:1 -> g:b:2",
+            lambda kb: kb.ground_truth,
+            "g:a:1",
+            GroundTruthError,
+            id="ground-truth",
+        ),
+    ],
+)
+# Characters `str.splitlines` ends a line at, and Java does not.
+_NOT_LINE_ENDS = {
+    "form-feed": "\f",
+    "vertical-tab": "\v",
+    "file-separator": "\x1c",
+    "next-line": "\x85",
+    "line-separator": "\u2028",
+    "paragraph-separator": "\u2029",
+}
+
+
+class TestLineEnds:
+    """Listings and ground-truth files end lines at CR LF, CR or LF only."""
+
+    @pytest.mark.parametrize("char", list(_NOT_LINE_ENDS.values()), ids=list(_NOT_LINE_ENDS))
+    @_each_input
+    def test_other_separators_stay_inside_a_comment(
+        self, tmp_path, char, ingest, good, held, bad, error
+    ):
+        path = tmp_path / "input.txt"
+        path.write_bytes(f"# see{char}notes\n{good}\n".encode())
+        lf = tmp_path / "lf.txt"
+        lf.write_text(f"{good}\n")
+        kb, expected = KnowledgeBase(), KnowledgeBase()
+        assert ingest(kb, path) == ingest(expected, lf) == 1
+        assert held(kb) == held(expected)
+        path.write_bytes(f"# see{char}notes\n{good}\n{bad}\n".encode())
+        with pytest.raises(error) as err:
+            ingest(KnowledgeBase(), path)
+        assert str(err.value).startswith(f"{path}:3: ")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @_each_input
+    def test_crlf_and_cr_read_as_lf(self, tmp_path, end, ingest, good, held, bad, error):
+        text = f"# head\n\n  {good}\n"
+        reads = []
+        for name, ending in (("lf.txt", "\n"), ("other.txt", end)):
+            path = tmp_path / name
+            path.write_bytes(text.replace("\n", ending).encode())
+            kb = KnowledgeBase()
+            ingest(kb, path)
+            path.write_bytes((text + f"{bad}\n").replace("\n", ending).encode())
+            with pytest.raises(error) as err:
+                ingest(KnowledgeBase(), path)
+            reads.append((held(kb), str(err.value).removeprefix(str(path))))
+        assert reads[0] == reads[1]
+        assert reads[0][1].startswith(":4: ")
 
 
 class TestPersistence:
