@@ -7,7 +7,9 @@ code, stdout, stderr, and the bytes of each file it writes.  The cases
 cover the fixture snippet against the demo knowledge base in every output
 form, a frontend-heavy unit, an operator-heavy snippet, cost ties,
 one-line-unit patches, CR and CR LF line endings, a U+2028 in a comment
-above the class, and one tiny request of each benchmark workload.
+above the class, a knowledge base ingested from CR LF and CR files with a
+form feed and a U+2028 in their comments, and one tiny request of each
+benchmark workload.
 
 ``tests/test_golden.py`` regenerates every case and compares bytes.  Run
 this script only when an output change is intended, and say in that
@@ -142,6 +144,20 @@ COMMENTED = 'String s = "a"; // note\nPattern p = Pattern.compile(s);\n'
 UNIT = "package a;\nclass A { void go(String s) {\n  Pattern p = Pattern.compile(s);\n} }\n"
 
 
+# Knowledge-base inputs: a listing with CR LF line ends and a form feed in a
+# comment, and ground truth with lone CRs and a U+2028 in a comment.  Only
+# CR LF, CR and LF end a line, so each comment stays one line; the ground
+# truth knows java8 version 8 only, so the version-9 listing is dropped.
+KB_LISTING = (
+    "# java.util.regex\f(second page)\n"
+    "T java.util.regex.Pattern\n"
+    "M java.util.regex.Pattern.compile(java.lang.String)java.util.regex.Pattern\n"
+).replace("\n", "\r\n")
+KB_GROUND_TRUTH = (
+    "# builds seen\u2028in the wild\njdk:java8:8 ->\ncom.regexkit:regexkit:1.2 -> jdk:java8:8\n"
+).replace("\n", "\r")
+
+
 class Transcript:
     """Runs commands in one directory and records what each one did."""
 
@@ -203,6 +219,17 @@ RESOLVE_MACHINE = ("resolve", "--kb", "kb.txt", "--output", "machine", "--patch"
 TINY = {name: workloads.build(name, WORKLOAD_SEED, tiny=True) for name in workloads.WORKLOADS}
 
 
+def _kb_line_ends(t: Transcript) -> None:
+    listing = t.write("listing.txt", KB_LISTING)
+    t.run(
+        "ingest", "--kb", "kb.txt", "--classes", listing, "--dep", "jdk:java8:8",
+        "--classes", listing, "--dep", "jdk:java8:9",
+        "--ground-truth", t.write("ground-truth.txt", KB_GROUND_TRUTH),
+        files=("kb.txt",),
+    )
+    t.run("stats", "--kb", "kb.txt")
+
+
 def _operators(t: Transcript) -> None:
     _case(("sketch", "--spans", "snippet.java"), OPERATORS)(t)
     t.run(*RESOLVE_MACHINE, files=PATCHED)
@@ -233,6 +260,7 @@ CASES = {
     "line-ending-cr-sketch": _case(("sketch", "--spans", "snippet.java"), COMMENTED.replace("\n", "\r")),
     "line-ending-crlf-patch": _case(RESOLVE_MACHINE, UNIT.replace("\n", "\r\n"), files=PATCHED),
     "line-ending-cr-patch": _case(RESOLVE_MACHINE, UNIT.replace("\n", "\r"), files=PATCHED),
+    "kb-line-ends": _kb_line_ends,
     "line-separator-in-comment-patch": _case(
         RESOLVE_MACHINE, "package p; /* x\u2028y */\n" + ONE_LINE_BODY, files=PATCHED
     ),
