@@ -10,7 +10,6 @@ Diagnostics go to stderr, data to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -133,6 +132,8 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     if args.patch:
         _write_output(args.patch, emit_patch(resolution, text, partial=args.partial))
     if args.output == "machine":
+        import json  # here, not at the top: only this branch pays its import
+
         print(json.dumps(build_report(resolution), indent=2, sort_keys=True))
     else:
         _print_human(resolution)

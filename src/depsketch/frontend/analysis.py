@@ -20,13 +20,12 @@ Sketches merge by rendered text, keeping first-occurrence order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..model import (
     JAVA_LANG_TYPES,
     PRIMITIVES,
     DepsketchError,
     EntryKind,
+    Record,
     Sketch,
     Span,
 )
@@ -43,9 +42,8 @@ class AnalysisError(DepsketchError):
         self.span = span
 
 
-@dataclass(frozen=True)
-class TypeRef:
-    """What the analysis knows about one expression's type.
+class TypeRef(Record):
+    """What the analysis knows about one expression's type; immutable.
 
     A hole has no ``fqn``.  ``type_name`` carries the written simple name
     of an interned hole; anonymous holes are the one `_HOLE`.  ``local``
@@ -53,19 +51,35 @@ class TypeRef:
     sketches.
     """
 
-    fqn: str | None = None
-    type_name: str | None = None
-    local: bool = False
+    __slots__ = ("fqn", "type_name", "local")
+    __setattr__ = __delattr__ = Record._read_only
+
+    def __init__(
+        self, fqn: str | None = None, type_name: str | None = None, local: bool = False
+    ) -> None:
+        _set = object.__setattr__
+        _set(self, "fqn", fqn)
+        _set(self, "type_name", type_name)
+        _set(self, "local", local)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def render(self) -> str:
         return "?" if self.fqn is None else self.fqn
 
 
-@dataclass
-class Analysis:
-    sketches: list[Sketch]
-    imports: dict[str, str]  # simple name -> imported FQN
-    local_types: list[str]
+class Analysis(Record):
+    """``imports`` maps each imported simple name to its FQN."""
+
+    __slots__ = ("sketches", "imports", "local_types")
+
+    def __init__(
+        self, sketches: list[Sketch], imports: dict[str, str], local_types: list[str]
+    ) -> None:
+        self.sketches = sketches
+        self.imports = imports
+        self.local_types = local_types
 
 
 _HOLE = TypeRef()

@@ -27,10 +27,9 @@ statement positions stay exactly as typed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
-from ..model import PRIMITIVES, Span
+from ..model import PRIMITIVES, Record, Span
 from .lexer import JavaSyntaxError, MODIFIER_KEYWORDS, Token, tokenize
 
 _ZERO = Span(1, 1, 1, 1)
@@ -45,58 +44,84 @@ _LEVELS = {"||": 0, "&&": 1, "==": 2, "!=": 2, "<": 3, ">": 3, "<=": 3, ">=": 3,
 
 
 # -- AST ---------------------------------------------------------------------
+#
+# Plain records (see `Record`): the parser builds thousands of nodes for a
+# long snippet, and each ``__init__`` is written out because that is the
+# cheapest way to build one.  Nodes take assignment and are unhashable.
 
 
-@dataclass
-class TypeName:
+class TypeName(Record):
     """A type as written: dotted name or primitive keyword."""
 
-    text: str
-    span: Span
+    __slots__ = ("text", "span")
+
+    def __init__(self, text: str, span: Span) -> None:
+        self.text = text
+        self.span = span
 
 
-@dataclass
-class ImportDecl:
-    fqn: str
-    span: Span
+class ImportDecl(Record):
+    __slots__ = ("fqn", "span")
+
+    def __init__(self, fqn: str, span: Span) -> None:
+        self.fqn = fqn
+        self.span = span
 
 
-@dataclass
-class VarDecl:
+class VarDecl(Record):
     """A field, parameter, local variable or ``for`` initializer declaration.
 
     ``span`` is the type's span; parameters have no ``init``.
     """
 
-    var_type: TypeName
-    name: str
-    name_span: Span
-    init: object | None
-    span: Span
+    __slots__ = ("var_type", "name", "name_span", "init", "span")
+
+    def __init__(
+        self, var_type: TypeName, name: str, name_span: Span, init: object | None, span: Span
+    ) -> None:
+        self.var_type = var_type
+        self.name = name
+        self.name_span = name_span
+        self.init = init
+        self.span = span
 
 
-@dataclass
-class Block:
-    statements: list
-    span: Span
+class Block(Record):
+    __slots__ = ("statements", "span")
+
+    def __init__(self, statements: list, span: Span) -> None:
+        self.statements = statements
+        self.span = span
 
 
-@dataclass
-class MethodDecl:
-    return_type: TypeName
-    name: str
-    name_span: Span
-    params: list[VarDecl]
-    body: Block
-    span: Span
+class MethodDecl(Record):
+    __slots__ = ("return_type", "name", "name_span", "params", "body", "span")
+
+    def __init__(
+        self,
+        return_type: TypeName,
+        name: str,
+        name_span: Span,
+        params: list[VarDecl],
+        body: Block,
+        span: Span,
+    ) -> None:
+        self.return_type = return_type
+        self.name = name
+        self.name_span = name_span
+        self.params = params
+        self.body = body
+        self.span = span
 
 
-@dataclass
-class ClassDecl:
-    name: str
-    extends: TypeName | None
-    members: list
-    span: Span
+class ClassDecl(Record):
+    __slots__ = ("name", "extends", "members", "span")
+
+    def __init__(self, name: str, extends: TypeName | None, members: list, span: Span) -> None:
+        self.name = name
+        self.extends = extends
+        self.members = members
+        self.span = span
 
     @property
     def methods(self) -> list[MethodDecl]:
@@ -107,110 +132,165 @@ class ClassDecl:
         return [m for m in self.members if isinstance(m, VarDecl)]
 
 
-@dataclass
-class CompilationUnit:
-    imports: list[ImportDecl]
-    classes: list[ClassDecl]
-    package: Span | None = None  # where the package declaration is, if any
-    body: Span | None = None  # first token after the package and imports; None when wrapped
+class CompilationUnit(Record):
+    """``package`` is where the package declaration is, if any; ``body`` is
+    the first token after the package and imports, None when wrapped."""
+
+    __slots__ = ("imports", "classes", "package", "body")
+
+    def __init__(
+        self,
+        imports: list[ImportDecl],
+        classes: list[ClassDecl],
+        package: Span | None = None,
+        body: Span | None = None,
+    ) -> None:
+        self.imports = imports
+        self.classes = classes
+        self.package = package
+        self.body = body
 
 
-@dataclass
-class AssignStmt:
-    target: object
-    value: object
-    span: Span
+class AssignStmt(Record):
+    __slots__ = ("target", "value", "span")
+
+    def __init__(self, target: object, value: object, span: Span) -> None:
+        self.target = target
+        self.value = value
+        self.span = span
 
 
-@dataclass
-class ExprStmt:
-    expr: object
-    span: Span
+class ExprStmt(Record):
+    __slots__ = ("expr", "span")
+
+    def __init__(self, expr: object, span: Span) -> None:
+        self.expr = expr
+        self.span = span
 
 
-@dataclass
-class ReturnStmt:
-    value: object | None
-    span: Span
+class ReturnStmt(Record):
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: object | None, span: Span) -> None:
+        self.value = value
+        self.span = span
 
 
-@dataclass
-class IfStmt:
-    cond: object
-    then_branch: object
-    else_branch: object | None
-    span: Span
+class IfStmt(Record):
+    __slots__ = ("cond", "then_branch", "else_branch", "span")
+
+    def __init__(
+        self, cond: object, then_branch: object, else_branch: object | None, span: Span
+    ) -> None:
+        self.cond = cond
+        self.then_branch = then_branch
+        self.else_branch = else_branch
+        self.span = span
 
 
-@dataclass
-class WhileStmt:
-    cond: object
-    body: object
-    span: Span
+class WhileStmt(Record):
+    __slots__ = ("cond", "body", "span")
+
+    def __init__(self, cond: object, body: object, span: Span) -> None:
+        self.cond = cond
+        self.body = body
+        self.span = span
 
 
-@dataclass
-class ForStmt:
-    init: object | None
-    cond: object | None
-    update: object | None
-    body: object
-    span: Span
+class ForStmt(Record):
+    __slots__ = ("init", "cond", "update", "body", "span")
+
+    def __init__(
+        self,
+        init: object | None,
+        cond: object | None,
+        update: object | None,
+        body: object,
+        span: Span,
+    ) -> None:
+        self.init = init
+        self.cond = cond
+        self.update = update
+        self.body = body
+        self.span = span
 
 
-@dataclass
-class EmptyStmt:
-    span: Span
+class EmptyStmt(Record):
+    __slots__ = ("span",)
+
+    def __init__(self, span: Span) -> None:
+        self.span = span
 
 
-@dataclass
-class Identifier:
-    name: str
-    span: Span
+class Identifier(Record):
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: Span) -> None:
+        self.name = name
+        self.span = span
 
 
-@dataclass
-class FieldAccess:
-    receiver: object
-    name: str
-    span: Span  # span of the accessed name
+class FieldAccess(Record):
+    """``span`` is the span of the accessed name."""
+
+    __slots__ = ("receiver", "name", "span")
+
+    def __init__(self, receiver: object, name: str, span: Span) -> None:
+        self.receiver = receiver
+        self.name = name
+        self.span = span
 
 
-@dataclass
-class MethodCall:
-    receiver: object | None  # None for a bare call like run()
-    name: str
-    args: list
-    span: Span  # span of the method name
+class MethodCall(Record):
+    """``receiver`` is None for a bare call like ``run()``; ``span`` is the
+    span of the method name."""
+
+    __slots__ = ("receiver", "name", "args", "span")
+
+    def __init__(self, receiver: object | None, name: str, args: list, span: Span) -> None:
+        self.receiver = receiver
+        self.name = name
+        self.args = args
+        self.span = span
 
 
-@dataclass
-class NewExpr:
-    new_type: TypeName
-    args: list
-    span: Span
+class NewExpr(Record):
+    __slots__ = ("new_type", "args", "span")
+
+    def __init__(self, new_type: TypeName, args: list, span: Span) -> None:
+        self.new_type = new_type
+        self.args = args
+        self.span = span
 
 
-@dataclass
-class Literal:
-    kind: str  # string | int | long | double | boolean | char | null
-    text: str
-    span: Span
+class Literal(Record):
+    """``kind`` is string, int, long, double, boolean, char or null."""
+
+    __slots__ = ("kind", "text", "span")
+
+    def __init__(self, kind: str, text: str, span: Span) -> None:
+        self.kind = kind
+        self.text = text
+        self.span = span
 
 
-@dataclass
-class Unary:
-    op: str
-    operand: object
-    span: Span
+class Unary(Record):
+    __slots__ = ("op", "operand", "span")
+
+    def __init__(self, op: str, operand: object, span: Span) -> None:
+        self.op = op
+        self.operand = operand
+        self.span = span
 
 
-@dataclass
-class Binary:
-    op: str
-    left: object
-    right: object
-    span: Span
+class Binary(Record):
+    __slots__ = ("op", "left", "right", "span")
+
+    def __init__(self, op: str, left: object, right: object, span: Span) -> None:
+        self.op = op
+        self.left = left
+        self.right = right
+        self.span = span
 
 
 # -- parser ------------------------------------------------------------------
@@ -608,17 +688,32 @@ class Origin(Enum):
     WRAPPED = "wrapped"  # bare statements, wrapped in a synthetic class
 
 
-@dataclass(frozen=True)
-class Snippet:
+class Snippet(Record):
     """A snippet's text, how it was read, and the unit parsed from it.
 
-    Equality and hashing look at ``source`` and ``origin`` only; ``unit``
-    follows from them.
+    Immutable.  Equality, hashing and ``repr`` look at ``source`` and
+    ``origin`` only; ``unit`` follows from them.
     """
 
-    source: str
-    origin: Origin
-    unit: CompilationUnit = field(compare=False, repr=False)
+    __slots__ = ("source", "origin", "unit")
+    __setattr__ = __delattr__ = Record._read_only
+
+    def __init__(self, source: str, origin: Origin, unit: CompilationUnit) -> None:
+        _set = object.__setattr__
+        _set(self, "source", source)
+        _set(self, "origin", origin)
+        _set(self, "unit", unit)
+
+    def __repr__(self) -> str:
+        return f"Snippet(source={self.source!r}, origin={self.origin!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.origin) == (other.source, other.origin)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.origin))
 
 
 # A compilation unit starts with one of these and no statement can.

@@ -15,7 +15,6 @@ is an admissible completion of a sketch.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -61,20 +60,88 @@ def is_fqn(text: str) -> bool:
     return _FQN_RE.fullmatch(text) is not None
 
 
-@dataclass(frozen=True, order=True)
-class Coordinate:
-    """Maven-style dependency coordinate ``group:artifact:version``."""
+class Record:
+    """Base of the record classes: ``repr``, equality and pickling from ``__slots__``.
 
-    group: str
-    artifact: str
-    version: str
+    A record lists its fields in ``__slots__`` and sets them in its own
+    ``__init__``, which takes them in that order.  Two records are equal
+    when they are of one class and their fields are equal.  A record is
+    unhashable unless it is immutable: such a record sets ``__setattr__``
+    and ``__delattr__`` to `_read_only`, sets its fields through
+    ``object.__setattr__`` and defines ``__hash__`` over them.  A plain
+    class costs next to nothing to define at import, and its hand-written
+    ``__init__`` builds an instance as fast as any generated one.
+    """
 
-    def __post_init__(self) -> None:
-        for label, value in (("group", self.group), ("artifact", self.artifact)):
-            if not value or ":" in value or value.split() != [value]:
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    def _read_only(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+class Coordinate(Record):
+    """Maven-style dependency coordinate ``group:artifact:version``.
+
+    Immutable and hashable.  Coordinates order by group, then artifact,
+    then version.  No part may hold ``->``, which separates the two
+    coordinates of a ground-truth line.
+    """
+
+    __slots__ = ("group", "artifact", "version")
+    __setattr__ = __delattr__ = Record._read_only
+
+    def __init__(self, group: str, artifact: str, version: str) -> None:
+        for label, value in (("group", group), ("artifact", artifact)):
+            if not value or ":" in value or "->" in value or value.split() != [value]:
                 raise ValueError(f"bad coordinate {label}: {value!r}")
-        if not _VERSION_RE.fullmatch(self.version):
-            raise ValueError(f"bad coordinate version: {self.version!r}")
+        if "->" in version or not _VERSION_RE.fullmatch(version):
+            raise ValueError(f"bad coordinate version: {version!r}")
+        _set = object.__setattr__
+        _set(self, "group", group)
+        _set(self, "artifact", artifact)
+        _set(self, "version", version)
+
+    def _values(self) -> tuple[str, str, str]:
+        return (self.group, self.artifact, self.version)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.artifact, self.version))
+
+    def __lt__(self, other: Coordinate) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() < other._values()
+
+    def __le__(self, other: Coordinate) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() <= other._values()
+
+    def __gt__(self, other: Coordinate) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() > other._values()
+
+    def __ge__(self, other: Coordinate) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() >= other._values()
 
     @classmethod
     def parse(cls, text: str) -> Coordinate:
@@ -94,7 +161,7 @@ class EntryKind(Enum):
 
 
 # The class-listing line grammar: one alternative per tag, whose groups are
-# the entry fields, each checked as ``KbEntry.__post_init__`` would check it.
+# the entry fields, each checked as ``KbEntry.__init__`` would check it.
 _LISTING_RE = re.compile(
     rf"\s*(?:T\s+({_DOTTED})\.({_IDENT})(?:\s+<:\s+({_FQN}))?"  # groups 1-3
     rf"|M\s+({_DOTTED})\.({_IDENT})\(((?:{_TYPE}(?:,{_TYPE})*)?)\)({_TYPE})"  # 4-7
@@ -102,49 +169,64 @@ _LISTING_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class KbEntry:
-    """One API element known to the knowledge base.
+class KbEntry(Record):
+    """One API element known to the knowledge base; immutable and hashable.
 
     ``owner`` is the declaring type's FQN for methods and fields, and the
     package for types, so ``owner + "." + name`` is always the entry FQN
     prefix used in rendering and matching.
     """
 
-    kind: EntryKind
-    owner: str
-    name: str
-    params: tuple[str, ...] = ()
-    returns: str = ""
-    field_type: str = ""
-    supertype: str | None = None
-    dep: Coordinate = None  # type: ignore[assignment]
+    __slots__ = ("kind", "owner", "name", "params", "returns", "field_type", "supertype", "dep")
+    __setattr__ = __delattr__ = Record._read_only
 
-    def __post_init__(self) -> None:
-        if self.dep is None:
+    def __init__(
+        self,
+        kind: EntryKind,
+        owner: str,
+        name: str,
+        params: tuple[str, ...] = (),
+        returns: str = "",
+        field_type: str = "",
+        supertype: str | None = None,
+        dep: Coordinate | None = None,
+    ) -> None:
+        if dep is None:
             raise ValueError("entry needs a dependency coordinate")
-        if not _DOTTED_RE.fullmatch(self.owner):
-            raise ValueError(f"bad owner: {self.owner!r}")
-        if not _IDENT_RE.fullmatch(self.name):
-            raise ValueError(f"bad simple name: {self.name!r}")
-        if self.kind is EntryKind.TYPE:
-            if self.params or self.returns or self.field_type:
+        if not _DOTTED_RE.fullmatch(owner):
+            raise ValueError(f"bad owner: {owner!r}")
+        if not _IDENT_RE.fullmatch(name):
+            raise ValueError(f"bad simple name: {name!r}")
+        if kind is EntryKind.TYPE:
+            if params or returns or field_type:
                 raise ValueError("type entries carry no signature")
-        elif self.kind is EntryKind.METHOD:
-            if not self.returns:
+        elif kind is EntryKind.METHOD:
+            if not returns:
                 raise ValueError("method entries need a return type")
-            bad = [t for t in self.params + (self.returns,) if not _TYPE_RE.fullmatch(t)]
+            bad = [t for t in params + (returns,) if not _TYPE_RE.fullmatch(t)]
             if bad:
                 raise ValueError(f"bad type in signature: {bad[0]!r}")
-            if self.field_type or self.supertype:
+            if field_type or supertype:
                 raise ValueError("method entries carry no field type or supertype")
         else:
-            if not _TYPE_RE.fullmatch(self.field_type):
-                raise ValueError(f"bad field type: {self.field_type!r}")
-            if self.params or self.returns or self.supertype:
+            if not _TYPE_RE.fullmatch(field_type):
+                raise ValueError(f"bad field type: {field_type!r}")
+            if params or returns or supertype:
                 raise ValueError("field entries carry only a field type")
-        if self.supertype is not None and not is_fqn(self.supertype):
-            raise ValueError(f"bad supertype: {self.supertype!r}")
+        if supertype is not None and not is_fqn(supertype):
+            raise ValueError(f"bad supertype: {supertype!r}")
+        _set = object.__setattr__
+        _set(self, "kind", kind)
+        _set(self, "owner", owner)
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "returns", returns)
+        _set(self, "field_type", field_type)
+        _set(self, "supertype", supertype)
+        _set(self, "dep", dep)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def render(self) -> str:
         """Full FQN of this entry (`Sketch.render` too, holes and all)."""
@@ -176,9 +258,10 @@ class KbEntry:
     def from_listing(cls, line: str, dep: Coordinate) -> KbEntry:
         """Parse one class-listing line (``T``/``M``/``F`` form).
 
-        ``_LISTING_RE`` checks every field that ``__post_init__`` checks, so
-        a line it matches builds its entry directly.  A line it rejects is
-        parsed again, step by step, only to say what is wrong with it.
+        ``_LISTING_RE`` checks every field that ``__init__`` checks, so a
+        line it matches fills its entry's slots directly, through
+        `_ListedEntry`.  A line it rejects is parsed again, step by step,
+        only to say what is wrong with it.
         """
         match = _LISTING_RE.fullmatch(line)
         if match is None or dep is None:
@@ -187,29 +270,27 @@ class KbEntry:
         (t_owner, t_name, supertype,
          m_owner, m_name, params, returns,
          f_owner, f_name, field_type) = match.groups()  # one row per tag: T, M, F
-        entry = object.__new__(cls)  # fields checked above; skip __post_init__
+        entry = object.__new__(_ListedEntry)
         if m_owner is not None:
-            entry.__dict__.update(
-                kind=EntryKind.METHOD, owner=m_owner, name=m_name,
-                params=tuple(params.split(",")) if params else (), returns=returns,
-                field_type="", supertype=None, dep=dep,
-            )
+            entry.kind, entry.owner, entry.name = EntryKind.METHOD, m_owner, m_name
+            entry.params = tuple(params.split(",")) if params else ()
+            entry.returns, entry.field_type, entry.supertype = returns, "", None
         elif f_owner is not None:
-            entry.__dict__.update(
-                kind=EntryKind.FIELD, owner=f_owner, name=f_name, params=(), returns="",
-                field_type=field_type, supertype=None, dep=dep,
-            )
+            entry.kind, entry.owner, entry.name = EntryKind.FIELD, f_owner, f_name
+            entry.params, entry.returns = (), ""
+            entry.field_type, entry.supertype = field_type, None
         else:
-            entry.__dict__.update(
-                kind=EntryKind.TYPE, owner=t_owner, name=t_name, params=(), returns="",
-                field_type="", supertype=supertype, dep=dep,
-            )
+            entry.kind, entry.owner, entry.name = EntryKind.TYPE, t_owner, t_name
+            entry.params, entry.returns = (), ""
+            entry.field_type, entry.supertype = "", supertype
+        entry.dep = dep
+        entry.__class__ = KbEntry  # immutable from here on
         return entry
 
     @classmethod
     def _parse_listing_stepwise(cls, line: str, dep: Coordinate) -> KbEntry:
         # The reference parser: split, check each part, build through
-        # __post_init__.  It names the first problem it finds.
+        # __init__.  It names the first problem it finds.
         tokens = line.split()
         if not tokens:
             raise ValueError("empty line")
@@ -254,12 +335,26 @@ class KbEntry:
         raise ValueError(f"unknown entry tag {tag!r}")
 
 
+class _ListedEntry(KbEntry):
+    """A `KbEntry` whose slots take plain assignment.
+
+    `KbEntry.from_listing` fills one, then makes it a `KbEntry`: plain
+    stores cost about a third of ``object.__setattr__`` calls, and a listing
+    line is parsed once per knowledge-base entry.
+    """
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__  # both, or stores still call __setattr__
+
+
 class Span:
     """Half-open source region, 1-based lines and columns; never changed once made.
 
-    A plain class rather than a frozen dataclass, because the parser makes
-    one per token it keeps and the frozen ``__init__`` costs about three times
-    as much.  ``repr``, equality and hash are those the dataclass had.
+    Its fields take assignment, unlike an immutable `Record`'s, because the
+    parser makes one per token it keeps and setting them through
+    ``object.__setattr__`` costs about three times as much.  ``repr``,
+    equality and hash are written out for the same reason.
     """
 
     __slots__ = ("line", "col", "end_line", "end_col")
@@ -288,17 +383,28 @@ class Span:
         return f"{self.line}:{self.col}-{self.end_line}:{self.end_col}"
 
 
-@dataclass
-class Sketch:
+class Sketch(Record):
     """A partially known FQN with ``?`` holes, plus where it occurred."""
 
-    kind: EntryKind
-    owner: str
-    name: str
-    params: tuple[str, ...] = ()
-    returns: str = ""
-    field_type: str = ""
-    occurrences: list[Span] = field(default_factory=list)
+    __slots__ = ("kind", "owner", "name", "params", "returns", "field_type", "occurrences")
+
+    def __init__(
+        self,
+        kind: EntryKind,
+        owner: str,
+        name: str,
+        params: tuple[str, ...] = (),
+        returns: str = "",
+        field_type: str = "",
+        occurrences: list[Span] | None = None,
+    ) -> None:
+        self.kind = kind
+        self.owner = owner
+        self.name = name
+        self.params = params
+        self.returns = returns
+        self.field_type = field_type
+        self.occurrences = [] if occurrences is None else occurrences  # a fresh list each
 
     render = KbEntry.render  # the same three FQN shapes, with ``?`` for holes
 

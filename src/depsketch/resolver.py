@@ -17,13 +17,12 @@ feasibility predicate forbids mixing two versions of one artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
 from .frontend import Analysis, Snippet, sketch_source
 from .kb import KnowledgeBase
-from .model import LINE_END, Coordinate, DepsketchError, KbEntry, Sketch
+from .model import LINE_END, Coordinate, DepsketchError, KbEntry, Record, Sketch
 from .solver import CoveringProblem, Model, solve_min
 
 
@@ -35,27 +34,65 @@ class CoverageError(ResolutionError):
     """Sketches exist but the knowledge base offers nothing for any of them."""
 
 
-@dataclass(frozen=True)
-class Binding:
-    sketch: Sketch
-    entry: KbEntry
-    variable_key: str
+class Binding(Record):
+    """The entry a sketch is bound to, and its solver variable; immutable.
+
+    Hashing one fails, as hashing its `Sketch` does.
+    """
+
+    __slots__ = ("sketch", "entry", "variable_key")
+    __setattr__ = __delattr__ = Record._read_only
+
+    def __init__(self, sketch: Sketch, entry: KbEntry, variable_key: str) -> None:
+        _set = object.__setattr__
+        _set(self, "sketch", sketch)
+        _set(self, "entry", entry)
+        _set(self, "variable_key", variable_key)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
-@dataclass
-class Resolution:
-    snippet: Snippet
-    analysis: Analysis
-    sketches: list[Sketch]
-    problem: CoveringProblem
-    variable_names: list[str]
-    model: Model
-    bindings: list[Binding]
-    imports: list[str]  # provider FQNs of everything bound
-    dependencies: list[str]  # coordinate renders actually used
-    builtins: list[str]  # sketch renders assumed platform-provided
-    unresolved: list[str]  # sketch renders nothing matched
-    ambiguities: list[str]
+class Resolution(Record):
+    """Everything `resolve` found for one snippet.
+
+    ``imports`` are the provider FQNs of everything bound, ``dependencies``
+    the coordinate renders actually used, ``builtins`` the sketch renders
+    assumed platform-provided and ``unresolved`` those nothing matched.
+    """
+
+    __slots__ = (
+        "snippet", "analysis", "sketches", "problem", "variable_names", "model", "bindings",
+        "imports", "dependencies", "builtins", "unresolved", "ambiguities",
+    )
+
+    def __init__(
+        self,
+        snippet: Snippet,
+        analysis: Analysis,
+        sketches: list[Sketch],
+        problem: CoveringProblem,
+        variable_names: list[str],
+        model: Model,
+        bindings: list[Binding],
+        imports: list[str],
+        dependencies: list[str],
+        builtins: list[str],
+        unresolved: list[str],
+        ambiguities: list[str],
+    ) -> None:
+        self.snippet = snippet
+        self.analysis = analysis
+        self.sketches = sketches
+        self.problem = problem
+        self.variable_names = variable_names
+        self.model = model
+        self.bindings = bindings
+        self.imports = imports
+        self.dependencies = dependencies
+        self.builtins = builtins
+        self.unresolved = unresolved
+        self.ambiguities = ambiguities
 
     @property
     def cost(self) -> int:

@@ -25,11 +25,10 @@ one against the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .model import DepsketchError
+from .model import DepsketchError, Record
 
 _BRUTE_FORCE_CAP = 25
 
@@ -46,20 +45,16 @@ class InfeasibleError(SolverError):
     """Every cover violates the feasibility predicate."""
 
 
-@dataclass(frozen=True)
-class CoveringProblem:
+class CoveringProblem(Record):
     """Positive clauses over ``num_vars`` variables, with optional weights,
     groups, and a set of variables forced true before the search starts.
 
     ``groups[v]`` is the group of variable ``v``, a number below
-    ``num_vars``; by default all variables share group 0.
+    ``num_vars``; by default all variables share group 0.  Immutable.
     """
 
-    num_vars: int
-    clauses: tuple[frozenset[int], ...]
-    weights: tuple[int, ...] = ()
-    forced: frozenset[int] = frozenset()
-    groups: tuple[int, ...] = ()
+    __slots__ = ("num_vars", "clauses", "weights", "forced", "groups")
+    __setattr__ = __delattr__ = Record._read_only
 
     def __init__(
         self,
@@ -69,11 +64,12 @@ class CoveringProblem:
         forced: Iterable[int] = (),
         groups: Iterable[int] = (),
     ):
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "clauses", tuple(frozenset(c) for c in clauses))
-        object.__setattr__(self, "weights", tuple(weights) or (1,) * num_vars)
-        object.__setattr__(self, "forced", frozenset(forced))
-        object.__setattr__(self, "groups", tuple(groups) or (0,) * num_vars)
+        _set = object.__setattr__
+        _set(self, "num_vars", num_vars)
+        _set(self, "clauses", tuple(frozenset(c) for c in clauses))
+        _set(self, "weights", tuple(weights) or (1,) * num_vars)
+        _set(self, "forced", frozenset(forced))
+        _set(self, "groups", tuple(groups) or (0,) * num_vars)
         if num_vars < 0:
             raise ValueError("negative variable count")
         if len(self.weights) != num_vars:
@@ -90,6 +86,9 @@ class CoveringProblem:
             self._check_range(clause)
         self._check_range(self.forced)
 
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def _check_range(self, variables: frozenset[int]) -> None:
         if variables and (min(variables) < 0 or max(variables) >= self.num_vars):
             var = next(v for v in variables if not 0 <= v < self.num_vars)
@@ -102,10 +101,19 @@ class CoveringProblem:
         return len({self.groups[v] for v in variables})
 
 
-@dataclass(frozen=True)
-class Model:
-    true_vars: frozenset[int]
-    cost: int
+class Model(Record):
+    """A chosen set of true variables and its total weight; immutable."""
+
+    __slots__ = ("true_vars", "cost")
+    __setattr__ = __delattr__ = Record._read_only
+
+    def __init__(self, true_vars: frozenset[int], cost: int) -> None:
+        _set = object.__setattr__
+        _set(self, "true_vars", true_vars)
+        _set(self, "cost", cost)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 Feasible = Callable[[frozenset[int]], bool]

@@ -118,6 +118,16 @@ class TestIngest:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_coordinate_holding_the_ground_truth_separator_is_an_error(self, tmp_path, capsys):
+        kb = tmp_path / "kb.txt"
+        code = main(
+            ["ingest", "--kb", str(kb), "--classes", str(FIXTURES / "jdk8_classes.txt"),
+             "--dep", "g:a:1->2"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: bad coordinate version: '1->2'\n"
+        assert not kb.exists()
+
 
 class TestSketch:
     def test_fixture_lines(self, capsys):

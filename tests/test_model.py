@@ -30,6 +30,17 @@ class TestCoordinate:
         with pytest.raises(ValueError):
             Coordinate.parse(bad)
 
+    @pytest.mark.parametrize(
+        ("text", "label"),
+        [("org.x:lib:1.0->2", "version"), ("org->x:lib:1", "group"), ("org.x:l->b:1", "artifact")],
+    )
+    def test_rejects_the_ground_truth_separator(self, text, label):
+        # a ground-truth line holds one '->', so no such coordinate could be saved
+        group, artifact, version = text.split(":")
+        for make in (lambda: Coordinate.parse(text), lambda: Coordinate(group, artifact, version)):
+            with pytest.raises(ValueError, match=f"^bad coordinate {label}: "):
+                make()
+
     def test_orderable(self):
         a = Coordinate.parse("a:x:1")
         b = Coordinate.parse("b:x:1")

@@ -50,3 +50,13 @@ def test_run_walkthrough(tmp_path):
         "java.util.regex.Pattern.matcher(java.lang.String)java.util.regex.Matcher [jdk:java8:8]",
         "?.find()? -> java.util.regex.Matcher.find()boolean [jdk:java8:8]",
     ]
+
+
+def test_importtime_reports_every_module_and_writes_no_bytecode(tmp_path):
+    before = sorted(ROOT.rglob("__pycache__/*.pyc"))
+    proc = run_script("importtime.py", "--runs", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0] for line in proc.stdout.splitlines()[2:]}
+    assert {"depsketch", "depsketch.cli", "depsketch.model", "depsketch.frontend.parser"} <= rows
+    assert {"sum", "whole"} <= rows
+    assert sorted(ROOT.rglob("__pycache__/*.pyc")) == before
