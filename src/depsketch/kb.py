@@ -142,14 +142,16 @@ class KnowledgeBase:
 
         Blank lines and ``#`` comments are skipped.  Duplicates of entries
         already present are skipped silently, which makes re-ingesting the
-        same listing a no-op.
+        same listing a no-op.  Nothing is added unless every line parses.
         """
-        added = 0
+        entries = []
         for line_no, line in _content_lines(path, ListingError):
             try:
-                entry = KbEntry.from_listing(line, dep)
+                entries.append(KbEntry.from_listing(line, dep))
             except ValueError as exc:
                 raise ListingError(f"{path}:{line_no}: {exc}") from exc
+        added = 0
+        for entry in entries:
             if self.add_entry(entry):
                 added += 1
         return added
@@ -158,29 +160,27 @@ class KnowledgeBase:
         """Read ``g:a:v -> g2:a2:v2`` lines; returns new relations added.
 
         A line ``g:a:v ->`` registers the left coordinate with no relations.
+        Nothing is added unless every line parses.
         """
         self._parse_all()
-        added = 0
+        relations = []
         for line_no, line in _content_lines(path, GroundTruthError):
             try:
-                added += self._relate(line)
+                relations.append(_relation(line))
             except ValueError as exc:
                 raise GroundTruthError(f"{path}:{line_no}: {exc}") from exc
-        return added
+        return self._relate(relations)
 
-    def _relate(self, line: str) -> int:
-        """Add the relation of ground-truth line *line*, ``g:a:v -> g:a:v``,
-        or register the bare left side of ``g:a:v ->``; returns the number
-        of new relations.  Any other line raises ValueError.
-        """
-        if line.count("->") != 1:
-            raise ValueError(f"expected one '->' separator in {line!r}")
-        left, _, right = line.partition("->")
-        relations = self.ground_truth.setdefault(Coordinate.parse(left.strip()), set())
-        size = len(relations)
-        if right.strip():
-            relations.add(Coordinate.parse(right.strip()))
-        return len(relations) - size
+    def _relate(self, relations: Iterable[tuple[Coordinate, Coordinate | None]]) -> int:
+        """Add each ``(left, right)`` pair of `_relation`; returns the number
+        of new relations."""
+        added = 0
+        for left, right in relations:
+            known = self.ground_truth.setdefault(left, set())
+            if right is not None and right not in known:
+                known.add(right)
+                added += 1
+        return added
 
     def filter_against_ground_truth(self) -> int:
         """Drop entries whose dependency version the ground truth contradicts.
@@ -305,14 +305,16 @@ class KnowledgeBase:
         if block != sorted(block):
             first = next(i for i in range(1, len(block)) if block[i] < block[i - 1])
             raise KbLoadError(f"{path}:{first + 2}: entry line out of order, dump not sorted")
-        kb = cls()
+        relations = []
         for line_no, line in enumerate(lines[gt_start:-1], start=gt_start + 1):
             if not line.startswith("gt "):
                 raise KbLoadError(f"{path}:{line_no}: unrecognized line {line!r}")
             try:
-                kb._relate(line[3:])
+                relations.append(_relation(line[3:]))
             except ValueError as exc:
                 raise KbLoadError(f"{path}:{line_no}: {exc}") from exc
+        kb = cls()
+        kb._relate(relations)
         kb._lines = block
         kb._path = path
         return kb
@@ -377,6 +379,17 @@ class KnowledgeBase:
 
     def _error(self, index: int, reason: str) -> KbLoadError:
         return KbLoadError(f"{self._path}:{index + 2}: {reason}")  # entry lines follow the stamp
+
+
+def _relation(line: str) -> tuple[Coordinate, Coordinate | None]:
+    """The coordinates of ground-truth line *line*, ``g:a:v -> g:a:v``, or
+    the left one and None for ``g:a:v ->``.  Any other line raises ValueError.
+    """
+    if line.count("->") != 1:
+        raise ValueError(f"expected one '->' separator in {line!r}")
+    left, _, right = line.partition("->")
+    right = right.strip()
+    return Coordinate.parse(left.strip()), Coordinate.parse(right) if right else None
 
 
 def section_key(item: KbEntry | Sketch) -> str:

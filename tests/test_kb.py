@@ -177,6 +177,46 @@ def test_save_load_round_trip(entries, tmp_path_factory):
     assert path.read_bytes() == dump
 
 
+class TestAllOrNothingIngest:
+    """A bad line leaves the knowledge base as it was before the ingest."""
+
+    @staticmethod
+    def _state(kb: KnowledgeBase) -> tuple:
+        relations = {key: set(values) for key, values in kb.ground_truth.items()}
+        return kb.stats(), relations, [entry.render() for entry in kb.entries]
+
+    def test_listing(self, fixture_kb, tmp_path):
+        fixture_kb.ingest_ground_truth(FIXTURES / "ground_truth.txt")
+        listing = tmp_path / "partial.txt"
+        listing.write_text("T a.b.C\nT a.b.D\nM broken(\n")
+        before = self._state(fixture_kb)
+        with pytest.raises(ListingError, match=r"partial\.txt:3: mismatched parentheses"):
+            fixture_kb.ingest_class_listing(listing, JDK8)
+        assert self._state(fixture_kb) == before
+        assert fixture_kb.lookup(type_sketch("C")) == []
+
+    def test_ground_truth(self, fixture_kb, tmp_path):
+        fixture_kb.ingest_ground_truth(FIXTURES / "ground_truth.txt")
+        gt = tmp_path / "partial.txt"
+        gt.write_text("g:a:1 -> g:b:2\nh:a:1 ->\ng:a:1\n")
+        before = self._state(fixture_kb)
+        with pytest.raises(GroundTruthError, match=r"partial\.txt:3: expected one '->'"):
+            fixture_kb.ingest_ground_truth(gt)
+        assert self._state(fixture_kb) == before
+
+    def test_a_good_file_is_still_added_whole(self, tmp_path):
+        kb = KnowledgeBase()
+        listing = tmp_path / "l.txt"
+        listing.write_text("T a.b.C\nT a.b.D\nT a.b.C\n")
+        assert kb.ingest_class_listing(listing, JDK8) == 2
+        gt = tmp_path / "gt.txt"
+        gt.write_text("g:a:1 -> g:b:2\ng:a:1 -> g:b:2\nh:a:1 ->\n")
+        assert kb.ingest_ground_truth(gt) == 1
+        assert kb.ground_truth == {
+            Coordinate.parse("g:a:1"): {Coordinate.parse("g:b:2")}, Coordinate.parse("h:a:1"): set(),
+        }
+
+
 class TestGroundTruth:
     def test_fixture_counts_relations(self):
         kb = KnowledgeBase()
