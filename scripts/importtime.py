@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Self time of each depsketch module's import, as a cold process pays it.
 
-    python3 scripts/importtime.py [--runs N]
+    python3 scripts/importtime.py
 
-Runs ``python -X importtime -c "import depsketch.cli"`` in N fresh
+Runs ``python -X importtime -c "import depsketch.cli"`` in `RUNS` fresh
 processes twice over: once compiling depsketch from source, as a checkout
 without bytecode does, and once reading its bytecode.  Prints, per
 depsketch module, the median of its self time (its own body, without the
@@ -18,7 +18,6 @@ it there before the bytecode runs read it.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -29,6 +28,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RUNS = 12  # fresh processes per mode
 # "import time: <self us> | <cumulative us> | <indent><module>"
 _LINE = re.compile(r"import time:\s+(\d+) \|\s+(\d+) \| +(\S+)")
 
@@ -58,11 +58,6 @@ def measure(env: dict[str, str], runs: int) -> tuple[dict[str, float], float, fl
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=12, help="fresh processes per mode (default 12)")
-    args = parser.parse_args()
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     with tempfile.TemporaryDirectory() as work:
         src = Path(work) / "src"
         shutil.copytree(
@@ -72,11 +67,11 @@ def main() -> int:
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
         env.pop("PYTHONPYCACHEPREFIX", None)
-        source = measure(env, args.runs)
+        source = measure(env, RUNS)
         cached = {**env, "PYTHONPYCACHEPREFIX": str(Path(work) / "cache")}
         import_times({**cached, "PYTHONDONTWRITEBYTECODE": ""})  # writes the bytecode
-        compiled = measure(cached, args.runs)
-    print(f"import depsketch.cli, ms, median of {args.runs} fresh processes")
+        compiled = measure(cached, RUNS)
+    print(f"import depsketch.cli, ms, median of {RUNS} fresh processes")
     print(f"{'self time of':<28} {'no bytecode':>12} {'bytecode':>9}")
     for name in source[0]:
         print(f"{name:<28} {source[0][name]:>12.2f} {compiled[0].get(name, 0.0):>9.2f}")

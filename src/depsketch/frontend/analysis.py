@@ -53,6 +53,7 @@ class TypeRef(Record):
 
     __slots__ = ("fqn", "type_name", "local")
     __setattr__ = __delattr__ = Record._read_only
+    __hash__ = Record._hash
 
     def __init__(
         self, fqn: str | None = None, type_name: str | None = None, local: bool = False
@@ -61,9 +62,6 @@ class TypeRef(Record):
         _set(self, "fqn", fqn)
         _set(self, "type_name", type_name)
         _set(self, "local", local)
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def render(self) -> str:
         return "?" if self.fqn is None else self.fqn

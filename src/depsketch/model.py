@@ -66,11 +66,12 @@ class Record:
     A record lists its fields in ``__slots__`` and sets them in its own
     ``__init__``, which takes them in that order.  Two records are equal
     when they are of one class and their fields are equal.  A record is
-    unhashable unless it is immutable: such a record sets ``__setattr__``
-    and ``__delattr__`` to `_read_only`, sets its fields through
-    ``object.__setattr__`` and defines ``__hash__`` over them.  A plain
-    class costs next to nothing to define at import, and its hand-written
-    ``__init__`` builds an instance as fast as any generated one.
+    unhashable unless it sets ``__hash__``, most often to `_hash`, which
+    hashes its fields.  An immutable record sets ``__setattr__`` and
+    ``__delattr__`` to `_read_only` and sets its fields through
+    ``object.__setattr__``.  A plain class costs next to nothing to define
+    at import, and its hand-written ``__init__`` builds an instance as fast
+    as any generated one.
     """
 
     __slots__ = ()
@@ -94,6 +95,9 @@ class Record:
     def _read_only(self, name: str, *value: object) -> None:
         raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
+    def _hash(self) -> int:
+        return hash(self._values())
+
 
 class Coordinate(Record):
     """Maven-style dependency coordinate ``group:artifact:version``.
@@ -105,6 +109,7 @@ class Coordinate(Record):
 
     __slots__ = ("group", "artifact", "version")
     __setattr__ = __delattr__ = Record._read_only
+    __hash__ = Record._hash
 
     def __init__(self, group: str, artifact: str, version: str) -> None:
         for label, value in (("group", group), ("artifact", artifact)):
@@ -119,9 +124,6 @@ class Coordinate(Record):
 
     def _values(self) -> tuple[str, str, str]:
         return (self.group, self.artifact, self.version)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.artifact, self.version))
 
     def __lt__(self, other: Coordinate) -> bool:
         if other.__class__ is not self.__class__:
@@ -179,6 +181,7 @@ class KbEntry(Record):
 
     __slots__ = ("kind", "owner", "name", "params", "returns", "field_type", "supertype", "dep")
     __setattr__ = __delattr__ = Record._read_only
+    __hash__ = Record._hash
 
     def __init__(
         self,
@@ -224,9 +227,6 @@ class KbEntry(Record):
         _set(self, "field_type", field_type)
         _set(self, "supertype", supertype)
         _set(self, "dep", dep)
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def render(self) -> str:
         """Full FQN of this entry (`Sketch.render` too, holes and all)."""
@@ -348,16 +348,16 @@ class _ListedEntry(KbEntry):
     __delattr__ = object.__delattr__  # both, or stores still call __setattr__
 
 
-class Span:
+class Span(Record):
     """Half-open source region, 1-based lines and columns; never changed once made.
 
-    Its fields take assignment, unlike an immutable `Record`'s, because the
-    parser makes one per token it keeps and setting them through
-    ``object.__setattr__`` costs about three times as much.  ``repr``,
-    equality and hash are written out for the same reason.
+    Hashable, yet its fields take assignment, unlike an immutable
+    `Record`'s, because the parser makes one per token it keeps and setting
+    them through ``object.__setattr__`` costs about three times as much.
     """
 
     __slots__ = ("line", "col", "end_line", "end_col")
+    __hash__ = Record._hash
 
     def __init__(self, line: int, col: int, end_line: int, end_col: int) -> None:
         self.line = line
@@ -365,19 +365,8 @@ class Span:
         self.end_line = end_line
         self.end_col = end_col
 
-    def _fields(self) -> tuple[int, int, int, int]:
+    def _values(self) -> tuple[int, int, int, int]:
         return (self.line, self.col, self.end_line, self.end_col)
-
-    def __repr__(self) -> str:
-        return f"Span(line={self.line}, col={self.col}, end_line={self.end_line}, end_col={self.end_col})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     def render(self) -> str:
         return f"{self.line}:{self.col}-{self.end_line}:{self.end_col}"

@@ -42,15 +42,13 @@ class Binding(Record):
 
     __slots__ = ("sketch", "entry", "variable_key")
     __setattr__ = __delattr__ = Record._read_only
+    __hash__ = Record._hash
 
     def __init__(self, sketch: Sketch, entry: KbEntry, variable_key: str) -> None:
         _set = object.__setattr__
         _set(self, "sketch", sketch)
         _set(self, "entry", entry)
         _set(self, "variable_key", variable_key)
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
 
 class Resolution(Record):

@@ -55,6 +55,7 @@ class CoveringProblem(Record):
 
     __slots__ = ("num_vars", "clauses", "weights", "forced", "groups")
     __setattr__ = __delattr__ = Record._read_only
+    __hash__ = Record._hash
 
     def __init__(
         self,
@@ -86,9 +87,6 @@ class CoveringProblem(Record):
             self._check_range(clause)
         self._check_range(self.forced)
 
-    def __hash__(self) -> int:
-        return hash(self._values())
-
     def _check_range(self, variables: frozenset[int]) -> None:
         if variables and (min(variables) < 0 or max(variables) >= self.num_vars):
             var = next(v for v in variables if not 0 <= v < self.num_vars)
@@ -106,14 +104,12 @@ class Model(Record):
 
     __slots__ = ("true_vars", "cost")
     __setattr__ = __delattr__ = Record._read_only
+    __hash__ = Record._hash
 
     def __init__(self, true_vars: frozenset[int], cost: int) -> None:
         _set = object.__setattr__
         _set(self, "true_vars", true_vars)
         _set(self, "cost", cost)
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
 
 Feasible = Callable[[frozenset[int]], bool]

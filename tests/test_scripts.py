@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -52,11 +53,14 @@ def test_run_walkthrough(tmp_path):
     ]
 
 
-def test_importtime_reports_every_module_and_writes_no_bytecode(tmp_path):
+def test_importtime_reports_every_module_and_writes_no_bytecode(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("importtime", ROOT / "scripts" / "importtime.py")
+    importtime = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(importtime)
+    monkeypatch.setattr(importtime, "RUNS", 1)  # one process per mode keeps the test fast
     before = sorted(ROOT.rglob("__pycache__/*.pyc"))
-    proc = run_script("importtime.py", "--runs", "1", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    rows = {line.split()[0] for line in proc.stdout.splitlines()[2:]}
+    assert importtime.main() == 0
+    rows = {line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]}
     assert {"depsketch", "depsketch.cli", "depsketch.model", "depsketch.frontend.parser"} <= rows
     assert {"sum", "whole"} <= rows
     assert sorted(ROOT.rglob("__pycache__/*.pyc")) == before
