@@ -287,6 +287,46 @@ class TestGroundTruth:
                 found = str(exc).removeprefix(f"{path}:{line_no}: ")
             assert found == expected
 
+    # Coordinates of 1-4 artifacts x 1-3 versions for entries; the ground
+    # truth also draws from an artifact and a version no entry has.
+    _gt_artifacts = st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True)
+
+    @given(data=st.data())
+    def test_filter_keeps_what_the_rule_keeps(self, data, tmp_path_factory):
+        artifacts = data.draw(self._gt_artifacts)
+        versions = data.draw(st.integers(1, 3))
+        deps = st.builds(
+            lambda artifact, version: Coordinate.parse(f"g:{artifact}:{version}"),
+            st.sampled_from(artifacts), st.integers(1, versions),
+        )
+        named = st.builds(
+            lambda artifact, version: Coordinate.parse(f"g:{artifact}:{version}"),
+            st.sampled_from([*artifacts, "z"]), st.integers(1, versions + 1),
+        )
+        entries = data.draw(st.lists(st.tuples(st.sampled_from("CD"), deps), max_size=12))
+        lines = data.draw(st.lists(st.tuples(named, st.none() | named), max_size=5))
+        kb = KnowledgeBase()
+        for name, dep in entries:
+            kb.add_entry(KbEntry(EntryKind.TYPE, "p.q", name, dep=dep))
+        gt = tmp_path_factory.mktemp("gt") / "gt.txt"
+        gt.write_text("".join(
+            f"{left.render()} -> {right.render() if right else ''}\n" for left, right in lines
+        ))
+        kb.ingest_ground_truth(gt)
+        kb.filter_against_ground_truth()
+        # README: an entry is dropped when a line names its group and
+        # artifact, and no line names its exact coordinate on either side.
+        sides = {side for line in lines for side in line if side is not None}
+        expected = {
+            (name, dep) for name, dep in entries
+            if dep in sides or not any(
+                (side.group, side.artifact) == (dep.group, dep.artifact) for side in sides
+            )
+        }
+        assert sorted((entry.name, entry.dep.render()) for entry in kb.entries) == sorted(
+            (name, dep.render()) for name, dep in expected
+        )
+
     def test_relation_side_counts_as_known(self, tmp_path):
         gt = tmp_path / "gt.txt"
         gt.write_text("g:a:1 -> g2:b:2\n")
