@@ -2,8 +2,8 @@
 """Build the demo knowledge base from the checked-in fixtures.
 
 The result is the same knowledge base the tests and the walkthrough use:
-a small JDK slice with two same-named distractor types and the
-ground-truth coordinate relations.
+a small JDK slice with two same-named distractor types, filtered against
+the ground-truth coordinates.
 """
 
 from __future__ import annotations
@@ -21,15 +21,14 @@ LISTINGS = (
 )
 
 
-def build(kb_path: Path, include_ground_truth: bool) -> KnowledgeBase:
+def build(kb_path: Path) -> KnowledgeBase:
     kb = KnowledgeBase()
     for listing, coordinate in LISTINGS:
         added = kb.ingest_class_listing(FIXTURES / listing, Coordinate.parse(coordinate))
         print(f"{listing}: {added} entries for {coordinate}")
-    if include_ground_truth:
-        relations = kb.ingest_ground_truth(FIXTURES / "ground_truth.txt")
-        removed = kb.filter_against_ground_truth()
-        print(f"ground_truth.txt: {relations} relations, {removed} entries filtered")
+    known = kb.ingest_ground_truth(FIXTURES / "ground_truth.txt")
+    removed = kb.filter_against_ground_truth()
+    print(f"ground_truth.txt: {known} coordinates known, {removed} entries filtered")
     kb.save(kb_path)
     print(f"saved {kb_path}")
     return kb
@@ -38,9 +37,8 @@ def build(kb_path: Path, include_ground_truth: bool) -> KnowledgeBase:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kb", default="demo_kb.txt", help="output knowledge base file")
-    parser.add_argument("--no-ground-truth", action="store_true", help="skip ground-truth filtering")
     args = parser.parse_args()
-    kb = build(Path(args.kb), not args.no_ground_truth)
+    kb = build(Path(args.kb))
     print(" ".join(f"{key}={value}" for key, value in kb.stats().items()))
     return 0
 

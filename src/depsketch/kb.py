@@ -1,7 +1,7 @@
 """Knowledge base of API entries keyed for sketch lookup.
 
-Built once from class listings and a ground-truth relation file, then used
-read-only.  Persistence is a line-oriented dump with a version stamp
+Built once from class listings and a ground-truth file of known coordinates,
+then used read-only.  Persistence is a line-oriented dump with a version stamp
 (``FQNKB v2``) so stale files fail loudly instead of quietly.  Its entry
 lines are sorted by lookup key, so a loaded knowledge base parses one key's
 section on the first `KnowledgeBase.lookup` that needs it, and the rest of
@@ -65,9 +65,9 @@ def _content_lines(
 
 
 class KnowledgeBase:
-    """Entries, the indexes `lookup` needs, and the ground-truth relations.
+    """Entries, the indexes `lookup` needs, and the ground-truth coordinates.
 
-    Single-writer while building; the relations are saved with the entries
+    Single-writer while building; the coordinates are saved with the entries
     and filter every later ingest (see `filter_against_ground_truth`).
 
     A knowledge base from `load` starts with no entries parsed: ``entries``
@@ -78,7 +78,7 @@ class KnowledgeBase:
 
     def __init__(self) -> None:
         self.entries: list[KbEntry] = []
-        self.ground_truth: dict[Coordinate, set[Coordinate]] = {}
+        self.ground_truth: set[Coordinate] = set()
         self._seen: set[tuple[str, Coordinate]] = set()  # (rendered FQN, dep)
         self.by_simple_name: dict[str, list[KbEntry]] = {}
         self.by_method_key: dict[tuple[str, int], list[KbEntry]] = {}
@@ -157,36 +157,27 @@ class KnowledgeBase:
         return added
 
     def ingest_ground_truth(self, path: str | Path) -> int:
-        """Read ``g:a:v -> g2:a2:v2`` lines; returns new relations added.
+        """Read ``g:a:v -> g:a:v`` and ``g:a:v ->`` lines; returns the number
+        of coordinates newly known.
 
-        A line ``g:a:v ->`` registers the left coordinate with no relations.
+        Every coordinate a line names, on either side, becomes known.
         Nothing is added unless every line parses.
         """
-        self._parse_all()
-        relations = []
+        named = set()
         for line_no, line in _content_lines(path, GroundTruthError):
             try:
-                relations.append(_relation(line))
+                named.update(_ground_truth_coordinates(line))
             except ValueError as exc:
                 raise GroundTruthError(f"{path}:{line_no}: {exc}") from exc
-        return self._relate(relations)
-
-    def _relate(self, relations: Iterable[tuple[Coordinate, Coordinate | None]]) -> int:
-        """Add each ``(left, right)`` pair of `_relation`; returns the number
-        of new relations."""
-        added = 0
-        for left, right in relations:
-            known = self.ground_truth.setdefault(left, set())
-            if right is not None and right not in known:
-                known.add(right)
-                added += 1
-        return added
+        size = len(self.ground_truth)
+        self.ground_truth |= named
+        return len(self.ground_truth) - size
 
     def filter_against_ground_truth(self) -> int:
         """Drop entries whose dependency version the ground truth contradicts.
 
         A version is known for (group, artifact) when that exact coordinate
-        appears anywhere in the ground truth (as a key or inside a relation).
+        is known, that is, named on either side of a ground-truth line.
         Entries for artifacts the ground truth has never seen are kept, so
         without ground truth nothing is looked at.  Returns the number of
         entries removed; running it twice removes nothing the second time.
@@ -195,11 +186,10 @@ class KnowledgeBase:
         if not self.ground_truth:
             return 0
         known: dict[tuple[str, str], set[str]] = {}
-        for key, values in self.ground_truth.items():
-            for coordinate in (key, *values):
-                known.setdefault((coordinate.group, coordinate.artifact), set()).add(
-                    coordinate.version
-                )
+        for coordinate in self.ground_truth:
+            known.setdefault((coordinate.group, coordinate.artifact), set()).add(
+                coordinate.version
+            )
         kept = []
         for entry in self.entries:
             versions = known.get((entry.dep.group, entry.dep.artifact))
@@ -262,13 +252,7 @@ class KnowledgeBase:
             f"{section_key(entry)} dep={entry.dep.render()} {entry.listing_line()}"
             for entry in self.entries
         )
-        gt_lines = []
-        for key in sorted(self.ground_truth):
-            values = self.ground_truth[key]
-            if not values:
-                gt_lines.append(f"gt {key.render()} ->")
-            for value in sorted(values):
-                gt_lines.append(f"gt {key.render()} -> {value.render()}")
+        gt_lines = [f"gt {coordinate.render()} ->" for coordinate in sorted(self.ground_truth)]
         end = f"end {len(entry_lines)} {len(gt_lines)}"
         with open(path, "w", encoding="utf-8") as out:  # by line: the dump is never one string
             out.writelines(f"{line}\n" for line in (FORMAT_STAMP, *entry_lines, *gt_lines, end))
@@ -305,16 +289,14 @@ class KnowledgeBase:
         if block != sorted(block):
             first = next(i for i in range(1, len(block)) if block[i] < block[i - 1])
             raise KbLoadError(f"{path}:{first + 2}: entry line out of order, dump not sorted")
-        relations = []
+        kb = cls()
         for line_no, line in enumerate(lines[gt_start:-1], start=gt_start + 1):
             if not line.startswith("gt "):
                 raise KbLoadError(f"{path}:{line_no}: unrecognized line {line!r}")
             try:
-                relations.append(_relation(line[3:]))
+                kb.ground_truth.update(_ground_truth_coordinates(line[3:]))
             except ValueError as exc:
                 raise KbLoadError(f"{path}:{line_no}: {exc}") from exc
-        kb = cls()
-        kb._relate(relations)
         kb._lines = block
         kb._path = path
         return kb
@@ -381,15 +363,16 @@ class KnowledgeBase:
         return KbLoadError(f"{self._path}:{index + 2}: {reason}")  # entry lines follow the stamp
 
 
-def _relation(line: str) -> tuple[Coordinate, Coordinate | None]:
-    """The coordinates of ground-truth line *line*, ``g:a:v -> g:a:v``, or
-    the left one and None for ``g:a:v ->``.  Any other line raises ValueError.
+def _ground_truth_coordinates(line: str) -> tuple[Coordinate, ...]:
+    """The coordinates ground-truth line *line* names: both of
+    ``g:a:v -> g:a:v``, or the one of ``g:a:v ->``.  Any other line raises
+    ValueError.
     """
     if line.count("->") != 1:
         raise ValueError(f"expected one '->' separator in {line!r}")
     left, _, right = line.partition("->")
-    right = right.strip()
-    return Coordinate.parse(left.strip()), Coordinate.parse(right) if right else None
+    sides = (left, right) if right.strip() else (left,)
+    return tuple(Coordinate.parse(side.strip()) for side in sides)
 
 
 def section_key(item: KbEntry | Sketch) -> str:

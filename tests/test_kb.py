@@ -182,8 +182,7 @@ class TestAllOrNothingIngest:
 
     @staticmethod
     def _state(kb: KnowledgeBase) -> tuple:
-        relations = {key: set(values) for key, values in kb.ground_truth.items()}
-        return kb.stats(), relations, [entry.render() for entry in kb.entries]
+        return kb.stats(), set(kb.ground_truth), [entry.render() for entry in kb.entries]
 
     def test_listing(self, fixture_kb, tmp_path):
         fixture_kb.ingest_ground_truth(FIXTURES / "ground_truth.txt")
@@ -211,16 +210,17 @@ class TestAllOrNothingIngest:
         assert kb.ingest_class_listing(listing, JDK8) == 2
         gt = tmp_path / "gt.txt"
         gt.write_text("g:a:1 -> g:b:2\ng:a:1 -> g:b:2\nh:a:1 ->\n")
-        assert kb.ingest_ground_truth(gt) == 1
+        assert kb.ingest_ground_truth(gt) == 3
         assert kb.ground_truth == {
-            Coordinate.parse("g:a:1"): {Coordinate.parse("g:b:2")}, Coordinate.parse("h:a:1"): set(),
+            Coordinate.parse("g:a:1"), Coordinate.parse("g:b:2"), Coordinate.parse("h:a:1"),
         }
 
 
 class TestGroundTruth:
     def test_fixture_counts_relations(self):
+        # both sides of every line count: two coordinates, then none new
         kb = KnowledgeBase()
-        assert kb.ingest_ground_truth(FIXTURES / "ground_truth.txt") == 1
+        assert kb.ingest_ground_truth(FIXTURES / "ground_truth.txt") == 2
         assert kb.ingest_ground_truth(FIXTURES / "ground_truth.txt") == 0
 
     def test_bare_left_side_registers_coordinate(self):
@@ -248,11 +248,11 @@ class TestGroundTruth:
     @pytest.mark.parametrize(
         ("text", "expected"),
         [
-            ("a:b:1 -> c:d:1", {"a:b:1": {"c:d:1"}}),
-            ("a:b:1 ->", {"a:b:1": set()}),
-            ("a:b:1-> c:d:1", {"a:b:1": {"c:d:1"}}),
-            ("a:b:1 ->c:d:1", {"a:b:1": {"c:d:1"}}),
-            ("a:b:1->", {"a:b:1": set()}),
+            ("a:b:1 -> c:d:1", {"a:b:1", "c:d:1"}),
+            ("a:b:1 ->", {"a:b:1"}),
+            ("a:b:1-> c:d:1", {"a:b:1", "c:d:1"}),
+            ("a:b:1 ->c:d:1", {"a:b:1", "c:d:1"}),
+            ("a:b:1->", {"a:b:1"}),
             ("a:b:1", "expected one '->' separator in 'a:b:1'"),
             ("a:b:1 c:d:1", "expected one '->' separator in 'a:b:1 c:d:1'"),
             ("a:b:1 -> c -> e", "expected one '->' separator in 'a:b:1 -> c -> e'"),
@@ -278,10 +278,7 @@ class TestGroundTruth:
 
         for path, line_no, read in ((gt, 1, ingest), (dump, 2, lambda: KnowledgeBase.load(dump))):
             try:
-                found = {
-                    key.render(): {value.render() for value in values}
-                    for key, values in read().ground_truth.items()
-                }
+                found = {coordinate.render() for coordinate in read().ground_truth}
             except DepsketchError as exc:
                 assert str(exc).startswith(f"{path}:{line_no}: ")
                 found = str(exc).removeprefix(f"{path}:{line_no}: ")
@@ -336,14 +333,16 @@ class TestGroundTruth:
         assert kb.filter_against_ground_truth() == 1
 
 
-# Each line input: how to ingest it, a valid line, what the knowledge base
-# holds after it, an invalid line, and the error that line raises.
+# Each line input: how to ingest it, a valid line, how many items that line
+# adds, what the knowledge base holds after it, an invalid line, and the
+# error that line raises.
 _each_input = pytest.mark.parametrize(
-    ("ingest", "good", "held", "bad", "error"),
+    ("ingest", "good", "added", "held", "bad", "error"),
     [
         pytest.param(
             lambda kb, path: kb.ingest_class_listing(path, JDK8),
             "T a.b.C",
+            1,
             lambda kb: [entry.render() for entry in kb.entries],
             "M a.b.C.run(",
             ListingError,
@@ -352,6 +351,7 @@ _each_input = pytest.mark.parametrize(
         pytest.param(
             KnowledgeBase.ingest_ground_truth,
             "g:a:1 -> g:b:2",
+            2,  # a coordinate on each side
             lambda kb: kb.ground_truth,
             "g:a:1",
             GroundTruthError,
@@ -376,14 +376,14 @@ class TestLineEnds:
     @pytest.mark.parametrize("char", list(_NOT_LINE_ENDS.values()), ids=list(_NOT_LINE_ENDS))
     @_each_input
     def test_other_separators_stay_inside_a_comment(
-        self, tmp_path, char, ingest, good, held, bad, error
+        self, tmp_path, char, ingest, good, added, held, bad, error
     ):
         path = tmp_path / "input.txt"
         path.write_bytes(f"# see{char}notes\n{good}\n".encode())
         lf = tmp_path / "lf.txt"
         lf.write_text(f"{good}\n")
         kb, expected = KnowledgeBase(), KnowledgeBase()
-        assert ingest(kb, path) == ingest(expected, lf) == 1
+        assert ingest(kb, path) == ingest(expected, lf) == added
         assert held(kb) == held(expected)
         path.write_bytes(f"# see{char}notes\n{good}\n{bad}\n".encode())
         with pytest.raises(error) as err:
@@ -392,14 +392,16 @@ class TestLineEnds:
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
     @_each_input
-    def test_crlf_and_cr_read_as_lf(self, tmp_path, end, ingest, good, held, bad, error):
+    def test_crlf_and_cr_read_as_lf(
+        self, tmp_path, end, ingest, good, added, held, bad, error
+    ):
         text = f"# head\n\n  {good}\n"
         reads = []
         for name, ending in (("lf.txt", "\n"), ("other.txt", end)):
             path = tmp_path / name
             path.write_bytes(text.replace("\n", ending).encode())
             kb = KnowledgeBase()
-            ingest(kb, path)
+            assert ingest(kb, path) == added
             path.write_bytes((text + f"{bad}\n").replace("\n", ending).encode())
             with pytest.raises(error) as err:
                 ingest(KnowledgeBase(), path)
@@ -498,6 +500,22 @@ class TestPersistence:
                 read(KnowledgeBase.load(path))
             assert str(err.value).startswith(f"{path}:{line_no}: ")
             assert reason in str(err.value)
+
+    def test_dump_with_a_two_sided_gt_line_still_reads(self, tmp_path):
+        # Dumps once wrote one gt line per pair of coordinates; both sides
+        # are known, and a re-save writes one line per coordinate.
+        path = tmp_path / "kb.txt"
+        path.write_text("FQNKB v2\ngt a:b:1 -> c:d:1\ngt c:d:1 ->\nend 0 2\n")
+        kb = KnowledgeBase.load(path)
+        assert kb.ground_truth == {Coordinate.parse("a:b:1"), Coordinate.parse("c:d:1")}
+        assert kb.stats() == KnowledgeBase().stats()
+        assert kb.filter_against_ground_truth() == 0
+        kb.save(path)
+        assert path.read_text() == "FQNKB v2\ngt a:b:1 ->\ngt c:d:1 ->\nend 0 2\n"
+        for dep in ("a:b:1", "a:b:2", "c:d:1", "c:d:2", "e:f:1"):
+            kb.add_entry(KbEntry(EntryKind.TYPE, "p.q", "R", dep=Coordinate.parse(dep)))
+        assert kb.filter_against_ground_truth() == 2
+        assert sorted(entry.dep.render() for entry in kb.entries) == ["a:b:1", "c:d:1", "e:f:1"]
 
     def test_v1_dump_asks_for_a_rebuild(self, tmp_path):
         path = tmp_path / "kb.txt"
