@@ -32,8 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--kb", required=True, help="knowledge base file to create or update")
     ingest.add_argument("--classes", action="append", default=[], help="class listing file")
     ingest.add_argument("--dep", action="append", default=[], help="g:a:v for the matching --classes")
-    ingest.add_argument("--ground-truth",
-                        help="known coordinates, one 'g:a:v -> g:a:v' or 'g:a:v ->' per line")
+    ingest.add_argument("--ground-truth", help="known coordinates, one 'g:a:v -> [g:a:v]' per line")
     ingest.set_defaults(func=cmd_ingest)
 
     sketch = commands.add_parser("sketch", help="print a snippet's sketches")
