@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import copy
 import importlib.util
+import inspect
 import pickle
 from pathlib import Path
 
 import pytest
 
+import depsketch.cli  # noqa: F401  (loads every module that defines a record)
 from depsketch.frontend import parser as ast
 from depsketch.frontend.analysis import Analysis, TypeRef
 from depsketch.frontend.parser import Origin, Snippet, wrap
-from depsketch.model import Coordinate, EntryKind, KbEntry, Sketch, Span
+from depsketch.model import Coordinate, EntryKind, KbEntry, Record, Sketch, Span
 from depsketch.resolver import Binding, Resolution
 from depsketch.solver import CoveringProblem, Model
 
@@ -302,6 +304,34 @@ def test_pickle_and_deepcopy_give_an_equal_record(name):
     assert pickle.loads(pickle.dumps(record)) == record
     assert copy.deepcopy(record) == record
     assert copy.copy(record) == record
+
+
+def _records(base: type = Record) -> list[type]:
+    """Every subclass of *base*, at any depth, that lists fields of its own."""
+    found = []
+    for cls in base.__subclasses__():
+        if cls.__dict__.get("__slots__"):
+            found.append(cls)
+        found += _records(cls)
+    return found
+
+
+RECORDS = _records()
+
+
+def test_every_record_is_pinned_here():
+    assert sorted(cls.__name__ for cls in RECORDS) == sorted([*CASES, "Span"])
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_constructor_takes_the_slots_in_order(cls):
+    init = cls.__dict__["__init__"]
+    params = list(inspect.signature(init).parameters.values())[1:]  # after self
+    # __reduce__ rebuilds a record from its slot values in this order.
+    assert tuple(param.name for param in params) == cls.__slots__
+    assert {param.kind for param in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    assert init.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert init.__module__ == cls.__module__
 
 
 class TestCoordinateOrder:
