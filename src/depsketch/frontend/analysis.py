@@ -72,13 +72,6 @@ class Analysis(Record):
 
     __slots__ = ("sketches", "imports", "local_types")
 
-    def __init__(
-        self, sketches: list[Sketch], imports: dict[str, str], local_types: list[str]
-    ) -> None:
-        self.sketches = sketches
-        self.imports = imports
-        self.local_types = local_types
-
 
 _HOLE = TypeRef()
 _BOOLEAN = TypeRef(fqn="boolean")

@@ -45,9 +45,11 @@ _LEVELS = {"||": 0, "&&": 1, "==": 2, "!=": 2, "<": 3, ">": 3, "<=": 3, ">=": 3,
 
 # -- AST ---------------------------------------------------------------------
 #
-# Plain records (see `Record`): the parser builds thousands of nodes for a
-# long snippet, and each ``__init__`` is written out because that is the
-# cheapest way to build one.  Nodes take assignment and are unhashable.
+# Plain records (see `Record`): each node but `CompilationUnit`, whose last
+# two fields have defaults, gets the ``__init__`` `Record` generates, the
+# same bytecode as one written by hand, which matters because the parser
+# builds thousands of nodes for a long snippet.  Nodes take assignment and
+# are unhashable.
 
 
 class TypeName(Record):
@@ -55,17 +57,9 @@ class TypeName(Record):
 
     __slots__ = ("text", "span")
 
-    def __init__(self, text: str, span: Span) -> None:
-        self.text = text
-        self.span = span
-
 
 class ImportDecl(Record):
     __slots__ = ("fqn", "span")
-
-    def __init__(self, fqn: str, span: Span) -> None:
-        self.fqn = fqn
-        self.span = span
 
 
 class VarDecl(Record):
@@ -76,52 +70,17 @@ class VarDecl(Record):
 
     __slots__ = ("var_type", "name", "name_span", "init", "span")
 
-    def __init__(
-        self, var_type: TypeName, name: str, name_span: Span, init: object | None, span: Span
-    ) -> None:
-        self.var_type = var_type
-        self.name = name
-        self.name_span = name_span
-        self.init = init
-        self.span = span
-
 
 class Block(Record):
     __slots__ = ("statements", "span")
-
-    def __init__(self, statements: list, span: Span) -> None:
-        self.statements = statements
-        self.span = span
 
 
 class MethodDecl(Record):
     __slots__ = ("return_type", "name", "name_span", "params", "body", "span")
 
-    def __init__(
-        self,
-        return_type: TypeName,
-        name: str,
-        name_span: Span,
-        params: list[VarDecl],
-        body: Block,
-        span: Span,
-    ) -> None:
-        self.return_type = return_type
-        self.name = name
-        self.name_span = name_span
-        self.params = params
-        self.body = body
-        self.span = span
-
 
 class ClassDecl(Record):
     __slots__ = ("name", "extends", "members", "span")
-
-    def __init__(self, name: str, extends: TypeName | None, members: list, span: Span) -> None:
-        self.name = name
-        self.extends = extends
-        self.members = members
-        self.span = span
 
     @property
     def methods(self) -> list[MethodDecl]:
@@ -154,91 +113,39 @@ class CompilationUnit(Record):
 class AssignStmt(Record):
     __slots__ = ("target", "value", "span")
 
-    def __init__(self, target: object, value: object, span: Span) -> None:
-        self.target = target
-        self.value = value
-        self.span = span
-
 
 class ExprStmt(Record):
     __slots__ = ("expr", "span")
-
-    def __init__(self, expr: object, span: Span) -> None:
-        self.expr = expr
-        self.span = span
 
 
 class ReturnStmt(Record):
     __slots__ = ("value", "span")
 
-    def __init__(self, value: object | None, span: Span) -> None:
-        self.value = value
-        self.span = span
-
 
 class IfStmt(Record):
     __slots__ = ("cond", "then_branch", "else_branch", "span")
-
-    def __init__(
-        self, cond: object, then_branch: object, else_branch: object | None, span: Span
-    ) -> None:
-        self.cond = cond
-        self.then_branch = then_branch
-        self.else_branch = else_branch
-        self.span = span
 
 
 class WhileStmt(Record):
     __slots__ = ("cond", "body", "span")
 
-    def __init__(self, cond: object, body: object, span: Span) -> None:
-        self.cond = cond
-        self.body = body
-        self.span = span
-
 
 class ForStmt(Record):
     __slots__ = ("init", "cond", "update", "body", "span")
-
-    def __init__(
-        self,
-        init: object | None,
-        cond: object | None,
-        update: object | None,
-        body: object,
-        span: Span,
-    ) -> None:
-        self.init = init
-        self.cond = cond
-        self.update = update
-        self.body = body
-        self.span = span
 
 
 class EmptyStmt(Record):
     __slots__ = ("span",)
 
-    def __init__(self, span: Span) -> None:
-        self.span = span
-
 
 class Identifier(Record):
     __slots__ = ("name", "span")
-
-    def __init__(self, name: str, span: Span) -> None:
-        self.name = name
-        self.span = span
 
 
 class FieldAccess(Record):
     """``span`` is the span of the accessed name."""
 
     __slots__ = ("receiver", "name", "span")
-
-    def __init__(self, receiver: object, name: str, span: Span) -> None:
-        self.receiver = receiver
-        self.name = name
-        self.span = span
 
 
 class MethodCall(Record):
@@ -247,20 +154,9 @@ class MethodCall(Record):
 
     __slots__ = ("receiver", "name", "args", "span")
 
-    def __init__(self, receiver: object | None, name: str, args: list, span: Span) -> None:
-        self.receiver = receiver
-        self.name = name
-        self.args = args
-        self.span = span
-
 
 class NewExpr(Record):
     __slots__ = ("new_type", "args", "span")
-
-    def __init__(self, new_type: TypeName, args: list, span: Span) -> None:
-        self.new_type = new_type
-        self.args = args
-        self.span = span
 
 
 class Literal(Record):
@@ -268,29 +164,13 @@ class Literal(Record):
 
     __slots__ = ("kind", "text", "span")
 
-    def __init__(self, kind: str, text: str, span: Span) -> None:
-        self.kind = kind
-        self.text = text
-        self.span = span
-
 
 class Unary(Record):
     __slots__ = ("op", "operand", "span")
 
-    def __init__(self, op: str, operand: object, span: Span) -> None:
-        self.op = op
-        self.operand = operand
-        self.span = span
-
 
 class Binary(Record):
     __slots__ = ("op", "left", "right", "span")
-
-    def __init__(self, op: str, left: object, right: object, span: Span) -> None:
-        self.op = op
-        self.left = left
-        self.right = right
-        self.span = span
 
 
 # -- parser ------------------------------------------------------------------
@@ -697,12 +577,6 @@ class Snippet(Record):
 
     __slots__ = ("source", "origin", "unit")
     __setattr__ = __delattr__ = Record._read_only
-
-    def __init__(self, source: str, origin: Origin, unit: CompilationUnit) -> None:
-        _set = object.__setattr__
-        _set(self, "source", source)
-        _set(self, "origin", origin)
-        _set(self, "unit", unit)
 
     def __repr__(self) -> str:
         return f"Snippet(source={self.source!r}, origin={self.origin!r})"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import total_ordering
 
 
 class DepsketchError(Exception):
@@ -63,19 +64,34 @@ def is_fqn(text: str) -> bool:
 class Record:
     """Base of the record classes: ``repr``, equality and pickling from ``__slots__``.
 
-    A record lists its fields in ``__slots__`` and sets them in its own
-    ``__init__``, which takes them in that order.  Two records are equal
-    when they are of one class and their fields are equal.  A record is
-    unhashable unless it sets ``__hash__``, most often to `_hash`, which
-    hashes its fields.  An immutable record sets ``__setattr__`` and
-    ``__delattr__`` to `_read_only` and sets its fields through
-    ``object.__setattr__``.  A plain class costs next to nothing to define
-    at import, and its hand-written ``__init__`` builds an instance as fast
-    as any generated one.
+    A record lists its fields in ``__slots__``, and its ``__init__`` takes
+    them in that order.  A record that stores its arguments and nothing
+    else defines no ``__init__``: `__init_subclass__` compiles the one it
+    would write by hand, so it builds an instance with the same bytecode.
+    A record whose fields have defaults or checks writes its own.  Two
+    records are equal when they are of one class and their fields are
+    equal.  A record is unhashable unless it sets ``__hash__``, most often
+    to `_hash`, which hashes its fields.  An immutable record sets
+    ``__setattr__`` and ``__delattr__`` to `_read_only` and sets its fields
+    through ``object.__setattr__``.
     """
 
     __slots__ = ()
     __hash__ = None  # type: ignore[assignment]
+
+    def __init_subclass__(cls) -> None:
+        fields = cls.__dict__.get("__slots__")
+        if not fields or "__init__" in cls.__dict__:
+            return
+        if cls.__setattr__ is Record._read_only:
+            body = ["_set = object.__setattr__", *[f"_set(self, {f!r}, {f})" for f in fields]]
+        else:
+            body = [f"self.{f} = {f}" for f in fields]
+        namespace: dict = {}
+        exec(f"def __init__(self, {', '.join(fields)}):\n    " + "\n    ".join(body), namespace)
+        init = namespace["__init__"]
+        init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
+        cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -99,6 +115,7 @@ class Record:
         return hash(self._values())
 
 
+@total_ordering
 class Coordinate(Record):
     """Maven-style dependency coordinate ``group:artifact:version``.
 
@@ -129,21 +146,6 @@ class Coordinate(Record):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() < other._values()
-
-    def __le__(self, other: Coordinate) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() <= other._values()
-
-    def __gt__(self, other: Coordinate) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() > other._values()
-
-    def __ge__(self, other: Coordinate) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() >= other._values()
 
     @classmethod
     def parse(cls, text: str) -> Coordinate:
@@ -358,12 +360,6 @@ class Span(Record):
 
     __slots__ = ("line", "col", "end_line", "end_col")
     __hash__ = Record._hash
-
-    def __init__(self, line: int, col: int, end_line: int, end_col: int) -> None:
-        self.line = line
-        self.col = col
-        self.end_line = end_line
-        self.end_col = end_col
 
     def _values(self) -> tuple[int, int, int, int]:
         return (self.line, self.col, self.end_line, self.end_col)

@@ -20,10 +20,10 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable
 
-from .frontend import Analysis, Snippet, sketch_source
+from .frontend import sketch_source
 from .kb import KnowledgeBase
 from .model import LINE_END, Coordinate, DepsketchError, KbEntry, Record, Sketch
-from .solver import CoveringProblem, Model, solve_min
+from .solver import CoveringProblem, solve_min
 
 
 class ResolutionError(DepsketchError):
@@ -37,18 +37,11 @@ class CoverageError(ResolutionError):
 class Binding(Record):
     """The entry a sketch is bound to, and its solver variable; immutable.
 
-    Hashing one fails, as hashing its `Sketch` does.
+    Unhashable, as its `Sketch` is.
     """
 
     __slots__ = ("sketch", "entry", "variable_key")
     __setattr__ = __delattr__ = Record._read_only
-    __hash__ = Record._hash
-
-    def __init__(self, sketch: Sketch, entry: KbEntry, variable_key: str) -> None:
-        _set = object.__setattr__
-        _set(self, "sketch", sketch)
-        _set(self, "entry", entry)
-        _set(self, "variable_key", variable_key)
 
 
 class Resolution(Record):
@@ -63,34 +56,6 @@ class Resolution(Record):
         "snippet", "analysis", "sketches", "problem", "variable_names", "model", "bindings",
         "imports", "dependencies", "builtins", "unresolved", "ambiguities",
     )
-
-    def __init__(
-        self,
-        snippet: Snippet,
-        analysis: Analysis,
-        sketches: list[Sketch],
-        problem: CoveringProblem,
-        variable_names: list[str],
-        model: Model,
-        bindings: list[Binding],
-        imports: list[str],
-        dependencies: list[str],
-        builtins: list[str],
-        unresolved: list[str],
-        ambiguities: list[str],
-    ) -> None:
-        self.snippet = snippet
-        self.analysis = analysis
-        self.sketches = sketches
-        self.problem = problem
-        self.variable_names = variable_names
-        self.model = model
-        self.bindings = bindings
-        self.imports = imports
-        self.dependencies = dependencies
-        self.builtins = builtins
-        self.unresolved = unresolved
-        self.ambiguities = ambiguities
 
     @property
     def cost(self) -> int:

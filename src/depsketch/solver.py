@@ -106,11 +106,6 @@ class Model(Record):
     __setattr__ = __delattr__ = Record._read_only
     __hash__ = Record._hash
 
-    def __init__(self, true_vars: frozenset[int], cost: int) -> None:
-        _set = object.__setattr__
-        _set(self, "true_vars", true_vars)
-        _set(self, "cost", cost)
-
 
 Feasible = Callable[[frozenset[int]], bool]
 TieKey = Callable[[frozenset[int]], object]
