@@ -1,8 +1,20 @@
 from __future__ import annotations
 
+import gc
+import importlib
+from pathlib import Path
+
 import pytest
 
-from depsketch.frontend import AnalysisError, Origin, analyze, parse, sketch_source, wrap
+from depsketch.frontend import (
+    AnalysisError,
+    JavaSyntaxError,
+    Origin,
+    analyze,
+    parse,
+    sketch_source,
+    wrap,
+)
 from depsketch.model import EntryKind
 
 FIXTURE_RENDERS = [
@@ -333,3 +345,38 @@ class TestWrappedCoordinates:
     def test_analyze_accepts_parsed_unit(self, snippet_source):
         unit = parse(wrap(snippet_source))
         assert [s.render() for s in analyze(unit).sketches] == FIXTURE_RENDERS
+
+
+# One snippet that analyzes, and one failing in each of the lexer, the
+# parser and the analysis.
+COLLECTOR_CASES = ["Pattern p = Pattern.compile(s());", "a ~ b;", "x = a +;", "x = y;"]
+
+
+def sketch_or_fail(source: str) -> None:
+    try:
+        sketch_source(source)
+    except (JavaSyntaxError, AnalysisError):
+        pass
+
+
+class TestCyclicCollector:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("source", COLLECTOR_CASES, ids=["ok", "lexer", "parser", "analysis"])
+    def test_collector_state_is_left_as_found(self, source, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            sketch_or_fail(source)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_frontend_leaves_no_cyclic_garbage(self, snippet_source, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        long_snippet = workloads.build("long-snippets", 7, tiny=True).requests[0].source
+        sources = [snippet_source, long_snippet, *COLLECTOR_CASES]
+        gc.collect()
+        for source in sources:
+            sketch_or_fail(source)
+        assert gc.collect() == 0

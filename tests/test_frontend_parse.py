@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,10 +30,13 @@ from depsketch.frontend.parser import (
     MethodCall,
     NewExpr,
     ReturnStmt,
+    TypeName,
     Unary,
     VarDecl,
     WhileStmt,
 )
+from depsketch.frontend.lexer import KEYWORDS
+from depsketch.model import LINE_END, Span
 
 
 def kinds_and_texts(source: str) -> list[tuple[str, str]]:
@@ -134,6 +140,126 @@ class TestTokenize:
     def test_line_comment_ends_at_any_line_terminator(self, newline):
         texts = [t.text for t in tokenize(f"a // note{newline}b = 1;") if t.kind != "eof"]
         assert texts == ["a", "b", "=", "1", ";"]
+
+
+# The lexer as a per-position loop of one `match` per token or run of blanks
+# and comments: the reference that `tokenize` must agree with on every input.
+_REFERENCE_TOKEN = re.compile(r"""
+    (?P<word>(?:[^\W\d]|\$)[\w$]*)
+  | (?P<skip>(?:[ \t\r\n]+|//[^\r\n]*|/\*[\s\S]*?\*/)+)
+  | (?P<float>\d+(?:\.\d+)?[fF])
+  | (?P<bad_suffix>\d+\.\d+[lL])
+  | (?P<long>\d+[lL])
+  | (?P<double>\d+(?:\.\d+)?[dD]|\d+\.\d+)
+  | (?P<int>\d+)
+  | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
+  | (?P<char>'(?:[^'\\\n]|\\[\s\S])*')
+  | (?P<open_string>")
+  | (?P<open_char>')
+  | (?P<open_comment>/\*)
+  | (?P<punct>==|!=|<=|>=|&&|\|\||->|[{}();,.=<>!+\-*/%\[\]@:])
+""", re.VERBOSE).match
+
+_REFERENCE_ERRORS = {
+    "float": "float literals are not supported",
+    "bad_suffix": "bad numeric literal suffix",
+    "open_string": "unterminated string literal",
+    "open_char": "unterminated char literal",
+    "open_comment": "unterminated block comment",
+}
+
+
+def reference_tokenize(source: str) -> list[tuple]:
+    source = LINE_END.sub("\n", source)
+    tokens = []
+    line, line_start, pos, end = 1, 0, 0, len(source)
+    while pos < end:
+        match = _REFERENCE_TOKEN(source, pos)
+        col = pos - line_start + 1
+        if match is None:
+            raise JavaSyntaxError(f"unexpected character {source[pos]!r}", line, col)
+        kind, text, pos = match.lastgroup, match.group(), match.end()
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = source.rindex("\n", 0, pos) + 1
+        elif kind == "word":
+            tokens.append(("kw" if text in KEYWORDS else "ident", text, line, col))
+        elif kind in _REFERENCE_ERRORS:
+            raise JavaSyntaxError(_REFERENCE_ERRORS[kind], line, col)
+        else:
+            tokens.append((kind, text, line, col))
+    tokens.append(("eof", "", line, end - line_start + 1))
+    return tokens
+
+
+def lexed(lex, source: str):
+    """Token tuples, or the error's class, message, position and expectations."""
+    try:
+        return [tuple(token) for token in lex(source)]
+    except JavaSyntaxError as err:
+        return (type(err), str(err), err.line, err.col, err.expected)
+
+
+_SOUP_PIECES = [
+    # words, keywords and Unicode word characters and digits
+    "x", "value", "a$b", "$", "_", "int", "class", "new", "null", "café", "ß", "中", "²", "Ⅻ",
+    # numbers, good and bad
+    "0", "12", "٣", "1.5", "2L", "4d", "3.5D", "1.5f", "7F", "3.5L", "1.", ".5",
+    # literals, closed, escaped and unterminated
+    '"s"', '"a\\"b"', '"\\\\"', '"a\\\nb"', '"', "'c'", "'\\''", "'",
+    # comments, closed and unterminated
+    "//", "// note", "/**/", "/* c */", "/* a\nb */", "/* a\r\nb */", "/*/", "/*", "*/",
+    # punctuation
+    "=", "==", "!=", "<=", ">=", "&&", "||", "->", "{", "}", "(", ")", ";", ",", ".", "<",
+    ">", "!", "+", "-", "*", "/", "%", "[", "]", "@", ":", "&", "|",
+    # blanks and line terminators
+    " ", "  ", "\t", "\n", "\r", "\r\n", "\n\r",
+    # rejected characters
+    "~", "#", "\\", "`", "?", "\f", "\v", "\x00", "\u2028", "\x85",
+]
+TOKEN_SOUPS = st.lists(
+    st.sampled_from(_SOUP_PIECES) | st.characters(codec="utf-8"), max_size=40
+).map("".join)
+
+
+class TestTokenizeDifferential:
+    @settings(max_examples=500, deadline=None)
+    @given(TOKEN_SOUPS)
+    def test_token_soups_lex_as_the_reference_loop(self, source):
+        assert lexed(tokenize, source) == lexed(reference_tokenize, source)
+
+    @pytest.mark.parametrize(
+        "source",
+        ["", " ", "\r", "a", "a\r", "a\r\nb", "/*", "/*\n", "x /*/", "// c", "// c\r\nx", "\n\n x",
+         '"a\\', "'", "1.5f", "~", "x\n~", "a /* b */ c // d\r e", "\x85x", "x\u2028y"],
+    )
+    def test_edge_inputs_lex_as_the_reference_loop(self, source):
+        assert lexed(tokenize, source) == lexed(reference_tokenize, source)
+
+
+class TestTokenizeTime:
+    # Blanks and comments are one repeated group of repeated parts; a
+    # megabyte of them, or an unterminated comment that long, must lex in
+    # one pass, far inside this bound, not hang.
+    BOUND_S = 2.0
+    BLANKS = " /* c * / */\n// line\r\n\t\r"
+
+    def timed(self, source: str):
+        start = time.perf_counter()
+        result = lexed(tokenize, source)
+        assert time.perf_counter() - start < self.BOUND_S
+        return result
+
+    def test_a_megabyte_of_blanks_and_comments(self):
+        source = self.BLANKS * (1_000_000 // len(self.BLANKS))
+        lines = source.count("\n") + source.count("\r") - source.count("\r\n") + 1
+        assert self.timed(source) == [("eof", "", lines, 1)]
+
+    def test_a_megabyte_long_unterminated_comment(self):
+        source = "x /*" + "a * / b\n" * 125_000
+        error = (JavaSyntaxError, "1:3: unterminated block comment", 1, 3, frozenset())
+        assert self.timed(source) == error
 
 
 class TestParseUnit:
@@ -240,6 +366,27 @@ class TestParseStatements:
         stmt = self.stmt("a.b = 1;")
         assert isinstance(stmt, AssignStmt)
         assert isinstance(stmt.target, FieldAccess)
+
+    @pytest.mark.parametrize(
+        "source, form",
+        [
+            ("a.b.c d = e;", VarDecl),
+            ("a.b.c d;", VarDecl),
+            ("a b;", VarDecl),
+            ("a.b.c();", ExprStmt),
+            ("a.b = c;", AssignStmt),
+            ("a.b;", ExprStmt),
+            ("a = b;", AssignStmt),
+        ],
+    )
+    def test_statement_head_decides_declaration(self, source, form):
+        assert isinstance(self.stmt(source), form)
+
+    def test_dotted_declaration_keeps_its_type_span(self):
+        decl = self.stmt("a.b. c d = e;")
+        assert decl.var_type == TypeName("a.b.c", Span(1, 1, 1, 7))
+        assert (decl.name, decl.name_span, decl.span) == ("d", Span(1, 8, 1, 9), Span(1, 1, 1, 7))
+        assert decl.init == Identifier("e", Span(1, 12, 1, 13))
 
     def test_if_else(self):
         stmt = self.stmt("if (a) { b(); } else c();")
@@ -492,11 +639,15 @@ class TestExpressionErrors:
                 "1:73: nesting deeper than 64 levels is not supported",
                 set(),
             ),
+            ("a.b < c;", "1:5: generic types are not supported, found '<'", set()),
+            ("a.b[0] = 1;", "1:4: array types are not supported, found '['", set()),
+            ("a. ;", "1:4: expected a member name, found ';'", {"<identifier>"}),
         ],
         ids=[
             "missing-right-operand", "operator-then-paren", "unclosed-paren", "empty-argument",
             "missing-member", "lambda", "new-primitive", "annotation", "missing-comparand",
-            "65-unary-minus", "65-parentheses",
+            "65-unary-minus", "65-parentheses", "generic-statement-head", "array-statement-head",
+            "statement-head-without-member",
         ],
     )
     def test_message_position_and_expectations(self, source, message, expected):
