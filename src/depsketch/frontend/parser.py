@@ -329,7 +329,7 @@ class _Parser:
             name = TypeName(*self._qualified_name())
         else:
             raise self.error("expected a type name", expected={"<type>"})
-        self._reject_type_suffix()
+        self._reject_type_suffix(self.tokens[self.pos])
         return name
 
     def _qualified_name(self) -> tuple[str, Span]:
@@ -343,11 +343,12 @@ class _Parser:
         span = Span(first.line, first.col, last.line, last.col + len(last.text))
         return ".".join(parts), span
 
-    def _reject_type_suffix(self) -> None:
-        if self.at("<"):
-            raise self.error("generic types are not supported")
-        if self.at("["):
-            raise self.error("array types are not supported")
+    def _reject_type_suffix(self, token: Token) -> None:
+        # Only punctuation is spelled "<" or "[".
+        if token.text == "<":
+            raise self.error("generic types are not supported", token)
+        if token.text == "[":
+            raise self.error("array types are not supported", token)
 
     # -- statements --
 
@@ -364,12 +365,13 @@ class _Parser:
         return Block(statements, start.span)
 
     def _statement(self):
-        token = self.peek()
-        if self.at("{"):
-            return self._block()
-        if self.at(";"):
-            return EmptyStmt(self.advance().span)
-        if token.kind == "kw":
+        token = self.tokens[self.pos]
+        if token.kind == "punct":
+            if token.text == "{":
+                return self._block()
+            if token.text == ";":
+                return EmptyStmt(self.advance().span)
+        elif token.kind == "kw":
             if token.text == "if":
                 return self._if_stmt()
             if token.text == "while":
@@ -398,15 +400,17 @@ class _Parser:
 
     def _at_declaration(self) -> bool:
         # A primitive keyword or "Name.Name... ident" starts a declaration.
-        token = self.peek()
+        # The dotted name is only walked over here; `_type_name` reads it.
+        tokens, pos = self.tokens, self.pos
+        token = tokens[pos]
         if token.kind != "ident":
             return token.kind == "kw" and token.text in PRIMITIVES
-        save = self.pos
-        self._qualified_name()
-        self._reject_type_suffix()
-        found = self.peek().kind == "ident"
-        self.pos = save
-        return found
+        pos += 1
+        while tokens[pos].text == "." and tokens[pos + 1].kind == "ident":  # a "." is never last
+            pos += 2
+        token = tokens[pos]
+        self._reject_type_suffix(token)
+        return token.kind == "ident"
 
     def _assignment_or_expression(self):
         expr = self._expression()
@@ -494,10 +498,11 @@ class _Parser:
             self.depth -= 1
             return Unary(token.text, operand, token.span)
         expr = self._primary()
-        while self.at("."):
-            self.advance()
+        tokens = self.tokens
+        while tokens[self.pos].text == ".":  # only punctuation is spelled "." or "("
+            self.pos += 1
             name = self.expect_ident("a member name")
-            if self.at("("):
+            if tokens[self.pos].text == "(":
                 args = self._arguments()
                 expr = MethodCall(expr, name.text, args, name.span)
             else:
@@ -525,8 +530,8 @@ class _Parser:
                 args = self._arguments()
                 return NewExpr(new_type, args, new_type.span)
         if token.kind == "ident":
-            self.advance()
-            if self.at("("):
+            self.pos += 1
+            if self.tokens[self.pos].text == "(":
                 args = self._arguments()
                 return MethodCall(None, token.text, args, token.span)
             return Identifier(token.text, token.span)
