@@ -15,10 +15,13 @@ Sketch emission rules:
 * declaration names, imports, primitives, and locally declared classes add
   nothing.
 
-Sketches merge by rendered text, keeping first-occurrence order.
+Sketches merge by their fields, which is by rendered text, keeping
+first-occurrence order.
 """
 
 from __future__ import annotations
+
+import gc
 
 from ..model import (
     JAVA_LANG_TYPES,
@@ -91,7 +94,7 @@ class _Analyzer:
     def __init__(self) -> None:
         self.imports: dict[str, str] = {}
         self.local_types: list[str] = []
-        self.sketches: dict[tuple[str, str], Sketch] = {}
+        self.sketches: dict[tuple, Sketch] = {}
         self._named_holes: dict[str, TypeRef] = {}
         self._scopes: list[dict[str, TypeRef]] = []
 
@@ -114,30 +117,35 @@ class _Analyzer:
         self._scopes[-1][name] = ref
         self._emit_type(ref, span)
 
-    def _sketch(self, sketch: Sketch, span: Span) -> None:
-        key = (sketch.kind.value, sketch.render())
-        if key not in self.sketches:
-            self.sketches[key] = sketch
-        self.sketches[key].occurrences.append(span)
+    def _sketch(self, span: Span, *fields) -> None:
+        """Add *span* to the sketch with these leading `Sketch` fields.
+
+        The fields are the key, so the sketch is built on its first
+        occurrence only.
+        """
+        sketch = self.sketches.get(fields)
+        if sketch is None:
+            sketch = self.sketches[fields] = Sketch(*fields)
+        sketch.occurrences.append(span)
 
     def _emit_type(self, ref: TypeRef, span: Span) -> None:
         # Anonymous holes, primitives and local classes (all dotless) add nothing.
         if ref.fqn is None:
             if ref.type_name is not None:
-                self._sketch(Sketch(EntryKind.TYPE, "?", ref.type_name), span)
+                self._sketch(span, EntryKind.TYPE, "?", ref.type_name)
         elif "." in ref.fqn:
             owner, name = ref.fqn.rsplit(".", 1)
-            self._sketch(Sketch(EntryKind.TYPE, owner, name), span)
+            self._sketch(span, EntryKind.TYPE, owner, name)
 
     def _emit_call(self, owner: TypeRef, name: str, args: list[TypeRef], span: Span) -> TypeRef:
         if not owner.local:
             params = tuple(ref.render() for ref in args)
-            self._sketch(Sketch(EntryKind.METHOD, owner.render(), name, params, "?"), span)
+            self._sketch(span, EntryKind.METHOD, owner.render(), name, params, "?")
         return _HOLE
 
     def _emit_field(self, owner: TypeRef, name: str, span: Span) -> TypeRef:
         if not owner.local:
-            self._sketch(Sketch(EntryKind.FIELD, owner.render(), name, field_type="?"), span)
+            self._sketch(span, EntryKind.FIELD, owner.render(), name, (), "", "?")
         return _HOLE
 
     # -- type positions --
@@ -364,6 +372,22 @@ def analyze(unit: ast.CompilationUnit) -> Analysis:
 
 
 def sketch_source(source: str, allow_wrap: bool = True) -> tuple[Snippet, Analysis]:
-    """Wrap (parsing the snippet once) and analyze in one step."""
-    snippet = wrap(source, allow_wrap=allow_wrap)
-    return snippet, analyze(parse(snippet))
+    """Wrap (parsing the snippet once) and analyze in one step.
+
+    The cyclic garbage collector is paused meanwhile, if it was enabled,
+    and enabled again on the way out, also when this raises.  The switch
+    is one per process, so calls in concurrent threads can change when
+    collections run, never what a call returns.
+    """
+    # Tokens, trees, `TypeRef`s and sketches hold no reference cycles and
+    # are freed by reference counting; running, the collector would only
+    # re-scan the token list and the tree again and again as they grow.
+    enabled = gc.isenabled()
+    if enabled:
+        gc.disable()
+    try:
+        snippet = wrap(source, allow_wrap=allow_wrap)
+        return snippet, analyze(parse(snippet))
+    finally:
+        if enabled:
+            gc.enable()

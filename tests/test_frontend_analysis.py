@@ -15,6 +15,7 @@ from depsketch.frontend import (
     sketch_source,
     wrap,
 )
+from depsketch.frontend import analysis as analysis_module
 from depsketch.model import EntryKind
 
 FIXTURE_RENDERS = [
@@ -370,6 +371,22 @@ class TestCyclicCollector:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+    def test_collector_is_paused_while_the_frontend_builds(self, monkeypatch):
+        # Wrap the names `sketch_source` looks up, as perfbench's tracer does.
+        seen = []
+        for name in ("wrap", "analyze"):
+            original = getattr(analysis_module, name)
+
+            def watched(*args, _original=original, **kwargs):
+                seen.append(gc.isenabled())
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(analysis_module, name, watched)
+        assert gc.isenabled()
+        sketch_source(COLLECTOR_CASES[0])
+        assert seen == [False, False]
+        assert gc.isenabled()
 
     def test_frontend_leaves_no_cyclic_garbage(self, snippet_source, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
