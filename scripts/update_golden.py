@@ -8,8 +8,8 @@ cover the fixture snippet against the demo knowledge base in every output
 form, a frontend-heavy unit, an operator-heavy snippet, cost ties,
 one-line-unit patches, CR and CR LF line endings, a U+2028 in a comment
 above the class, a knowledge base ingested from CR LF and CR files with a
-form feed and a U+2028 in their comments, and one tiny request of each
-benchmark workload.
+form feed and a U+2028 in their comments, one tiny request of each
+benchmark workload, and the CNF dump of a wide member clause.
 
 ``tests/test_golden.py`` regenerates every case and compares bytes.  Run
 this script only when an output change is intended, and say in that
@@ -218,6 +218,23 @@ RESOLVE_HUMAN = ("resolve", "--kb", "kb.txt", "--patch", "patched.java", "snippe
 RESOLVE_MACHINE = ("resolve", "--kb", "kb.txt", "--output", "machine", "--patch", "patched.java", "snippet.java")
 TINY = {name: workloads.build(name, WORKLOAD_SEED, tiny=True) for name in workloads.WORKLOADS}
 
+# Over the tiny shared-names knowledge base, every `run` call is one wide
+# clause: a call on a type with no import (a hole owner), one on an imported
+# type, and `run(null)`, whose parameter is a hole.  A declared dependency
+# gives some variables weight 0, so the dump pins numbering, weights and
+# clause order.
+WIDE_MEMBER = """\
+import org.shared03.Item001;
+
+class Wide {
+    void go(Item007 a, Item001 b, Item003 c) {
+        a.run("x");
+        b.run("x");
+        c.run(null);
+    }
+}
+"""
+
 
 def _kb_line_ends(t: Transcript) -> None:
     listing = t.write("listing.txt", KB_LISTING)
@@ -263,6 +280,13 @@ CASES = {
     "kb-line-ends": _kb_line_ends,
     "line-separator-in-comment-patch": _case(
         RESOLVE_MACHINE, "package p; /* x\u2028y */\n" + ONE_LINE_BODY, files=PATCHED
+    ),
+    "wide-member-cnf": _case(
+        ("resolve", "--kb", "kb.txt", "--output", "machine", "--declared", "org.shared01:lib01:3.0",
+         "--emit-cnf", "problem.cnf", "--patch", "patched.java", "snippet.java"),
+        WIDE_MEMBER,
+        TINY["shared-names"].listings,
+        ("problem.cnf", "patched.java"),
     ),
     **{
         f"workload-{name}": _case(RESOLVE_MACHINE, wl.requests[0].source, wl.listings, PATCHED)

@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from depsketch import Coordinate, DepsketchError, KnowledgeBase
-from depsketch.kb import GroundTruthError, KbLoadError, ListingError
-from depsketch.model import EntryKind, KbEntry, Sketch
+from depsketch.kb import GroundTruthError, KbLoadError, ListingError, section_key, variable_key
+from depsketch.model import EntryKind, KbEntry, Sketch, matches
 
 from conftest import DISTRACTOR, FIXTURES, JDK8, build_fixture_kb
 
@@ -175,6 +175,156 @@ def test_save_load_round_trip(entries, tmp_path_factory):
     assert path.read_bytes() == dump
     KnowledgeBase.load(path).save(path)
     assert path.read_bytes() == dump
+
+
+# Few owners, names and signature types, so sections hold many entries and
+# a sketch's written positions both match and miss.
+_OWNERS = ("a.A", "a.B", "b.A")
+_SIGNATURE_TYPES = ("int", "a.A", "java.lang.String")
+_VERSIONED_DEPS = [
+    Coordinate.parse(text)
+    for text in ("g:a:1", "g:a:2", "g:b:1", "h:c:1", "h:c:2")
+]
+
+
+# Methods are drawn most often: they have the most positions a sketch can write.
+_KINDS = st.sampled_from([EntryKind.METHOD, EntryKind.METHOD, EntryKind.TYPE, EntryKind.FIELD])
+
+
+@st.composite
+def _section_entries(draw):
+    kind = draw(_KINDS)
+    owner = draw(st.sampled_from(_OWNERS))
+    name = draw(st.sampled_from(("run", "go")))
+    dep = draw(st.sampled_from(_VERSIONED_DEPS))
+    if kind is EntryKind.TYPE:
+        return KbEntry(kind, owner, name, dep=dep)
+    if kind is EntryKind.METHOD:
+        arity = draw(st.integers(0, 2))
+        params = tuple(draw(st.sampled_from(_SIGNATURE_TYPES)) for _ in range(arity))
+        returns = draw(st.sampled_from(_SIGNATURE_TYPES + ("void",)))
+        return KbEntry(kind, owner, name, params=params, returns=returns, dep=dep)
+    return KbEntry(kind, owner, name, field_type=draw(st.sampled_from(_SIGNATURE_TYPES)), dep=dep)
+
+
+def _hole_or(*values: str):
+    return st.sampled_from(("?",) + values)
+
+
+@st.composite
+def _probe_sketches(draw):
+    """A sketch with a hole, or not, in its owner, each parameter, its
+    return type and its field type."""
+    kind = draw(_KINDS)
+    owner = draw(_hole_or(*_OWNERS, "c.C"))
+    name = draw(st.sampled_from(("run", "run", "go", "stop")))
+    if kind is EntryKind.TYPE:
+        return Sketch(kind, owner, name)
+    if kind is EntryKind.METHOD:
+        params = tuple(draw(st.lists(_hole_or(*_SIGNATURE_TYPES), max_size=2)))
+        return Sketch(kind, owner, name, params, draw(_hole_or(*_SIGNATURE_TYPES, "void")))
+    return Sketch(kind, owner, name, field_type=draw(_hole_or(*_SIGNATURE_TYPES, "long")))
+
+
+@st.composite
+def _near_sketches(draw, entry: KbEntry):
+    """A sketch of *entry*'s shape that keeps, replaces or leaves open each
+    of its positions."""
+
+    def position(value: str, others: tuple[str, ...]) -> str:
+        other = draw(st.sampled_from([other for other in others if other != value]))
+        return draw(_hole_or(value, other))
+
+    owner = position(entry.owner, _OWNERS)
+    if entry.kind is EntryKind.TYPE:
+        return Sketch(entry.kind, owner, entry.name)
+    if entry.kind is EntryKind.METHOD:
+        params = tuple(position(param, _SIGNATURE_TYPES) for param in entry.params)
+        returns = position(entry.returns, _SIGNATURE_TYPES + ("void",))
+        return Sketch(entry.kind, owner, entry.name, params, returns)
+    field_type = position(entry.field_type, _SIGNATURE_TYPES)
+    return Sketch(entry.kind, owner, entry.name, field_type=field_type)
+
+
+@st.composite
+def _entries_and_probes(draw, min_entries: int = 0):
+    """Entries for a knowledge base, and sketches to look up in it: one in
+    four drawn freely, the rest near an entry."""
+    entries = draw(st.lists(_section_entries(), min_size=min_entries, max_size=30))
+    near = st.sampled_from(entries).flatmap(_near_sketches) if entries else _probe_sketches()
+    probes = st.one_of(_probe_sketches(), near, near, near)
+    return entries, draw(st.lists(probes, min_size=1, max_size=8))
+
+
+def _reference_lookup(entries: list[KbEntry], sketch: Sketch) -> list[tuple[KbEntry, str]]:
+    """What `KnowledgeBase.lookup` returns, from the rule in `matches`."""
+    pool = sorted(
+        ((entry, variable_key(entry)) for entry in entries),
+        key=lambda pair: (pair[1], pair[0].render()),
+    )
+    return [pair for pair in pool if matches(sketch, pair[0])]
+
+
+@given(case=_entries_and_probes(), more=st.lists(_section_entries(), max_size=6))
+def test_lookup_is_the_reference_filter(case, more):
+    entries, sketches = case
+    kb = KnowledgeBase()
+    for entry in entries:
+        kb.add_entry(entry)
+    for sketch in sketches:
+        assert kb.lookup(sketch) == _reference_lookup(kb.entries, sketch)
+    # add_entry drops the sorted sections it changes
+    for entry in more:
+        kb.add_entry(entry)
+    for sketch in sketches:
+        assert kb.lookup(sketch) == _reference_lookup(kb.entries, sketch)
+    # a returned list is the caller's to change
+    for sketch in sketches:
+        found = kb.lookup(sketch)
+        found[:] = found[::-1] + [None]
+        assert kb.lookup(sketch) == _reference_lookup(kb.entries, sketch)
+
+
+@given(case=_entries_and_probes(), known=st.sets(st.sampled_from(_VERSIONED_DEPS)))
+def test_lookup_after_filter_against_ground_truth(case, known):
+    entries, sketches = case
+    kb = KnowledgeBase()
+    for entry in entries:
+        kb.add_entry(entry)
+    for sketch in sketches:
+        kb.lookup(sketch)  # sort the sections before the filter drops entries
+    kb.ground_truth |= known
+    kb.filter_against_ground_truth()
+    for sketch in sketches:
+        assert kb.lookup(sketch) == _reference_lookup(kb.entries, sketch)
+
+
+@given(case=_entries_and_probes(min_entries=1), data=st.data())
+def test_lookup_on_a_loaded_dump_with_a_damaged_section(case, data, tmp_path_factory):
+    # One section of the dump holds a duplicate line: every read of it fails
+    # at that line, and every other section answers as the saved one would.
+    entries, sketches = case
+    kb = KnowledgeBase()
+    for entry in entries:
+        kb.add_entry(entry)
+    path = tmp_path_factory.mktemp("damaged") / "kb.txt"
+    kb.save(path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    damaged = data.draw(st.sampled_from(kb.entries))
+    line = f"{section_key(damaged)} dep={damaged.dep.render()} {damaged.listing_line()}"
+    index = lines.index(line)
+    lines.insert(index + 1, lines[index])  # still sorted
+    lines[-2] = f"end {len(kb.entries) + 1} 0"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    loaded = KnowledgeBase.load(path)
+    probe = _all_holes(damaged)
+    for sketch in [probe, *sketches, probe]:
+        if section_key(sketch) == section_key(damaged):
+            with pytest.raises(KbLoadError) as err:
+                loaded.lookup(sketch)
+            assert str(err.value).startswith(f"{path}:{index + 2}: duplicate entry")
+        else:
+            assert loaded.lookup(sketch) == _reference_lookup(kb.entries, sketch)
 
 
 class TestAllOrNothingIngest:

@@ -3,14 +3,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import depsketch.resolver as resolver_module
 from depsketch import KnowledgeBase, emit_patch, resolve
 from depsketch.frontend import JavaSyntaxError, sketch_source, wrap
 from depsketch.kb import variable_key
-from depsketch.model import Coordinate, KbEntry, matches
+from depsketch.model import Coordinate, EntryKind, KbEntry, Sketch, matches
 from depsketch.resolver import CoverageError, ResolutionError, build_problem
-from depsketch.solver import InfeasibleError
+from depsketch.solver import CoveringProblem, InfeasibleError
 
 from conftest import DISTRACTOR, JDK8
 
@@ -95,6 +97,95 @@ class TestBuildProblem:
             JDK8,
         )
         assert variable_key(entry) == "jdk:java8:8:java.util.regex.Pattern"
+
+
+def _reference_build_problem(sketches, kb, declared=()):
+    """`build_problem` as one Python step per candidate: the reference."""
+    declared = set(declared)
+    index_of, names, deps, weights, groups = {}, [], [], [], []
+    group_of, group_weight = {}, []
+    clauses, tables, builtins, unresolved = [], [], [], []
+    for sketch in sketches:
+        found = kb.lookup(sketch)
+        if not found:
+            (unresolved if sketch.has_holes else builtins).append(sketch.render())
+            continue
+        candidates, clause = [], set()
+        for entry, key in found:
+            index = index_of.get(key)
+            if index is None:
+                index = index_of[key] = len(names)
+                names.append(key)
+                group = group_of.get(entry.dep)
+                if group is None:
+                    group = group_of[entry.dep] = len(group_weight)
+                    group_weight.append(0 if entry.dep in declared else 1)
+                deps.append(entry.dep)
+                groups.append(group)
+                weights.append(group_weight[group])
+            candidates.append((index, entry))
+            clause.add(index)
+        clauses.append(clause)
+        tables.append((sketch, candidates))
+    if unresolved and not clauses:
+        raise CoverageError(f"first unresolved: {unresolved[0]}")
+    problem = CoveringProblem(len(names), clauses, weights, groups=groups)
+    return problem, names, deps, tables, builtins, unresolved
+
+
+_DEPS = [Coordinate.parse(text) for text in ("g:a:1", "g:a:2", "g:b:1", "h:c:1")]
+_PACKAGES = ("p", "q", "r.s")
+_SIMPLE_NAMES = ("A", "B", "C")
+
+
+@st.composite
+def _provider_kbs(draw) -> KnowledgeBase:
+    """Types and their `run` and `size` members, spread over a few
+    dependencies, so many sketches share providers."""
+    kb = KnowledgeBase()
+    providers = st.tuples(
+        st.sampled_from(_DEPS), st.sampled_from(_PACKAGES), st.sampled_from(_SIMPLE_NAMES)
+    )
+    for dep, package, simple in draw(st.lists(providers)):
+        owner = f"{package}.{simple}"
+        kb.add_entry(KbEntry.from_listing(f"T {owner}", dep))
+        if draw(st.booleans()):
+            param = draw(st.sampled_from(("int", "p.A")))
+            kb.add_entry(KbEntry.from_listing(f"M {owner}.run({param})void", dep))
+        if draw(st.booleans()):
+            kb.add_entry(KbEntry.from_listing(f"F {owner}.size:int", dep))
+    return kb
+
+
+@st.composite
+def _provider_sketches(draw) -> Sketch:
+    owners = ("?", *(f"{package}.{simple}" for package in _PACKAGES for simple in _SIMPLE_NAMES))
+    kind = draw(st.sampled_from(list(EntryKind)))
+    if kind is EntryKind.TYPE:
+        owner = draw(st.sampled_from(("?", *_PACKAGES)))
+        return Sketch(kind, owner, draw(st.sampled_from(_SIMPLE_NAMES + ("D",))))
+    owner = draw(st.sampled_from(owners))
+    if kind is EntryKind.METHOD:
+        params = (draw(st.sampled_from(("?", "int", "p.A", "long"))),)
+        return Sketch(kind, owner, "run", params, draw(st.sampled_from(("?", "void"))))
+    return Sketch(kind, owner, draw(st.sampled_from(("size", "count"))), field_type="?")
+
+
+@given(
+    kb=_provider_kbs(),
+    sketches=st.lists(_provider_sketches(), max_size=12),
+    declared=st.sets(st.sampled_from(_DEPS)),
+)
+def test_build_problem_is_the_reference(kb, sketches, declared):
+    try:
+        expected = _reference_build_problem(sketches, kb, declared)
+    except CoverageError:
+        with pytest.raises(CoverageError):
+            build_problem(sketches, kb, declared)
+        return
+    problem, names, deps, tables, builtins, unresolved = build_problem(sketches, kb, declared)
+    assert problem == expected[0]
+    assert (names, deps, tables, builtins, unresolved) == expected[1:]
 
 
 class TestResolveWalkthrough:
