@@ -13,9 +13,10 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
+from itertools import compress
 from pathlib import Path
 
-from .model import LINE_END, Coordinate, DepsketchError, EntryKind, KbEntry, Sketch, matches
+from .model import LINE_END, Coordinate, DepsketchError, EntryKind, KbEntry, Sketch
 
 FORMAT_STAMP = "FQNKB v2"
 _END_RE = re.compile(r"end ([0-9]+) ([0-9]+)")
@@ -84,8 +85,9 @@ class KnowledgeBase:
         self.by_method_key: dict[tuple[str, int], list[KbEntry]] = {}
         self.by_field_name: dict[str, list[KbEntry]] = {}
         # Section key -> its entries with their variable keys, sorted the
-        # way `lookup` returns them; filled on first use, dropped on change.
-        self._sorted_buckets: dict[str, list[tuple[KbEntry, str]]] = {}
+        # way `lookup` returns them, and the columns of their `_signature`s
+        # in that order; filled on first use, dropped on change.
+        self._sorted_buckets: dict[str, tuple[list[tuple[KbEntry, str]], list[tuple]]] = {}
         # What `load` left unparsed: the dump's sorted entry lines (empty once
         # every section is parsed or filed in `_sorted_buckets`), the parsed
         # ``dep=`` coordinates, and the dump's path for error messages.
@@ -205,25 +207,38 @@ class KnowledgeBase:
     # -- queries -----------------------------------------------------------
 
     def lookup(self, sketch: Sketch) -> list[tuple[KbEntry, str]]:
-        """All entries matching *sketch*, with their variable keys.
+        """All entries matching *sketch*, with their variable keys, in a new list.
 
+        The entries are those `model.matches` accepts, the rule's reference.
         The variable key is ``dep:provider-FQN``: the same dependency/type
         pair gets the same key no matter which sketch retrieved it, so one
         selection can cover a type sketch and the member sketches it serves.
         Results are sorted by key, then by entry FQN: each index bucket is
         sorted once, on its first lookup, and later lookups only filter it.
         A loaded dump's section for the bucket is parsed on that first lookup.
+
+        The section key already fixes kind, name and arity, so the filter
+        compares only the positions of `_signature` that *sketch* writes
+        rather than leaves as ``?``: a bucket stores each position's values
+        as one column, and a lookup compares the columns in C, not one
+        `matches` call per entry.
         """
         section = section_key(sketch)
-        pool = self._sorted_buckets.get(section)
-        if pool is None:
+        bucket = self._sorted_buckets.get(section)
+        if bucket is None:
             if self._lines:
                 self._parse_section(section)
             index, key = self._index(sketch)
             pool = [(entry, variable_key(entry)) for entry in index.get(key, ())]
             pool.sort(key=lambda pair: (pair[1], pair[0].render()))
-            self._sorted_buckets[section] = pool  # only now: a failed section fails on every read
-        return [pair for pair in pool if matches(sketch, pair[0])]
+            bucket = (pool, list(zip(*[_signature(entry) for entry, _ in pool])))
+            self._sorted_buckets[section] = bucket  # only now: a failed section fails on every read
+        pool, columns = bucket
+        written = [pair for pair in zip(columns, _signature(sketch)) if pair[1] != "?"]
+        if not written:
+            return pool.copy()
+        wanted = tuple([want for _, want in written])
+        return list(compress(pool, map(wanted.__eq__, zip(*[column for column, _ in written]))))
 
     def stats(self) -> dict[str, int]:
         self._parse_all()
@@ -383,6 +398,19 @@ def section_key(item: KbEntry | Sketch) -> str:
     if item.kind is EntryKind.METHOD:
         return f"M {item.name}/{len(item.params)}"
     return f"{item.kind.value} {item.name}"
+
+
+def _signature(item: KbEntry | Sketch) -> tuple[str, ...]:
+    """What `model.matches` compares of *item* once kind, name and arity
+    agree: ``(owner,)`` for a type, ``(owner, *params, returns)`` for a
+    method and ``(owner, field_type)`` for a field.  A sketch writes ``?``
+    where it leaves a position open.
+    """
+    if item.kind is EntryKind.METHOD:
+        return (item.owner, *item.params, item.returns)
+    if item.kind is EntryKind.FIELD:
+        return (item.owner, item.field_type)
+    return (item.owner,)
 
 
 def variable_key(entry: KbEntry) -> str:
