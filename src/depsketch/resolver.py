@@ -17,6 +17,7 @@ feasibility predicate forbids mixing two versions of one artifact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
 from typing import Iterable
 
@@ -130,7 +131,17 @@ def build_problem(
 def _feasible_versions(deps: list[Coordinate], groups: tuple[int, ...]):
     # Each group is one dependency, and two dependencies of one artifact
     # differ in version: a set is feasible when its groups' artifacts differ.
-    artifact = {group: (dep.group, dep.artifact) for group, dep in dict(zip(groups, deps)).items()}
+    # `build_problem` numbers groups in order of first use, so each group's
+    # first variable lies past the previous group's: the scans for them
+    # cover *groups* once, in C.
+    artifact: list[tuple[str, str]] = []
+    first = 0
+    try:
+        while True:
+            first = groups.index(len(artifact), first)
+            artifact.append((deps[first].group, deps[first].artifact))
+    except ValueError:  # no variable has the next group
+        pass
 
     def feasible(chosen: frozenset[int]) -> bool:
         picked = {groups[var] for var in chosen}
@@ -179,16 +190,17 @@ def resolve(
 
     bindings: list[Binding] = []
     ambiguities: list[str] = []
-    for sketch, candidates in tables:
-        # lookup order is (variable key, entry render): bind the first covering
-        covering = [(index, entry) for index, entry in candidates if index in model.true_vars]
-        keys = list(dict.fromkeys(names[index] for index, _ in covering))
+    for (sketch, candidates), clause in zip(tables, problem.clauses):
+        # Lookup order is (variable key, entry render): bind the first entry
+        # under the smallest chosen key, found by bisection, not by a pass
+        # over a clause that may hold thousands of candidates.
+        keys = sorted([names[index] for index in clause & model.true_vars])
         if len(keys) > 1:
             ambiguities.append(
                 f"{sketch.render()} is satisfied by {len(keys)} choices: " + ", ".join(keys)
             )
-        index, entry = covering[0]
-        bindings.append(Binding(sketch, entry, names[index]))
+        first = bisect_left(candidates, keys[0], key=lambda candidate: names[candidate[0]])
+        bindings.append(Binding(sketch, candidates[first][1], keys[0]))
 
     imports = sorted({binding.entry.provider_fqn for binding in bindings})
     dependencies = sorted({binding.entry.dep.render() for binding in bindings})

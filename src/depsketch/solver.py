@@ -26,6 +26,7 @@ one against the other.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .model import DepsketchError, Record
@@ -174,7 +175,9 @@ def solve_min(
     # first uncovered one, and the greedy bounds take small clauses first.
     clauses = sorted(pre.clauses, key=lambda c: (len(c), sorted(c)))
     ascending = [sorted(c) for c in clauses]
-    cheapest = [min(weights[v] for v in c) for c in clauses]
+    # One itemgetter call reads a wide clause's weights in C; given one
+    # index, it returns the bare weight.
+    cheapest = [min(itemgetter(*c)(weights)) if len(c) > 1 else weights[c[0]] for c in ascending]
     group_sets = [{groups[v] for v in c} for c in clauses]
     clause_groups = [sum(1 << g for g in found) for found in group_sets]
     reach = [0] * problem.num_vars  # group -> live clauses it can cover
