@@ -12,19 +12,20 @@ Weights are 1 per variable, 0 when the variable's dependency was declared
 by the caller, so solutions reuse what the project already has.  Each
 dependency is one solver group, so among covers of equal weight the solver
 prefers fewer distinct dependencies, then the sorted variable keys.  A
-feasibility predicate forbids mixing two versions of one artifact.
+feasibility predicate allows one group per artifact, so versions never mix.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable
 
 from .frontend import sketch_source
 from .kb import KnowledgeBase
 from .model import LINE_END, Coordinate, DepsketchError, KbEntry, Record, Sketch
-from .solver import CoveringProblem, solve_min
+from .solver import CoveringProblem, InfeasibleError, solve_min
 
 
 class ResolutionError(DepsketchError):
@@ -70,22 +71,22 @@ def build_problem(
 ) -> tuple[CoveringProblem, list[str], list[Coordinate], list[tuple[Sketch, list]], list[str], list[str]]:
     """Clauses for *sketches* against *kb*.
 
-    Returns the problem, variable names, variable dependencies, per-sketch
-    ``(sketch, [(variable, entry)])`` candidates in lookup order, builtin
-    renders, and unresolved renders.  A hole-free sketch nothing matches is
-    taken as platform-provided.
+    Returns the problem, variable names, each group's dependency (one group
+    per distinct dependency, numbered in order of first use), per-sketch
+    ``(sketch, found)`` tables where *found* is the list `KnowledgeBase.lookup`
+    returned, builtin renders, and unresolved renders.  A hole-free sketch
+    nothing matches is taken as platform-provided.
     """
     declared = set(declared)
     index_of: dict[str, int] = {}
     names: list[str] = []
-    deps: list[Coordinate] = []
     weights: list[int] = []
     groups: list[int] = []
-    group_of: dict[Coordinate, int] = {}  # one group per distinct dependency
-    group_weight: list[int] = []
-    last_dep = group = None
+    group_of: dict[Coordinate, int] = {}
+    group_deps: list[Coordinate] = []
+    last_dep = group = weight = None
     clauses: list[set[int]] = []
-    tables: list[tuple[Sketch, list[tuple[int, KbEntry]]]] = []
+    tables: list[tuple[Sketch, list[tuple[KbEntry, str]]]] = []
     builtins: list[str] = []
     unresolved: list[str] = []
 
@@ -97,7 +98,6 @@ def build_problem(
             else:
                 builtins.append(sketch.render())
             continue
-        candidates: list[tuple[int, KbEntry]] = []
         clause: set[int] = set()
         for entry, key in found:
             index = index_of.get(key)
@@ -106,18 +106,16 @@ def build_problem(
                 names.append(key)
                 dep = entry.dep
                 if dep is not last_dep:  # keys sort by dependency first
-                    last_dep = dep
+                    last_dep, weight = dep, 0 if dep in declared else 1
                     group = group_of.get(dep)
                     if group is None:
-                        group = group_of[dep] = len(group_weight)
-                        group_weight.append(0 if dep in declared else 1)
-                deps.append(dep)
+                        group = group_of[dep] = len(group_deps)
+                        group_deps.append(dep)
                 groups.append(group)
-                weights.append(group_weight[group])
-            candidates.append((index, entry))
+                weights.append(weight)
             clause.add(index)
         clauses.append(clause)
-        tables.append((sketch, candidates))
+        tables.append((sketch, found))
 
     if unresolved and not clauses:
         raise CoverageError(
@@ -125,23 +123,13 @@ def build_problem(
             f"(first unresolved: {unresolved[0]})"
         )
     problem = CoveringProblem(len(names), clauses, weights, groups=groups)
-    return problem, names, deps, tables, builtins, unresolved
+    return problem, names, group_deps, tables, builtins, unresolved
 
 
-def _feasible_versions(deps: list[Coordinate], groups: tuple[int, ...]):
+def _feasible_versions(group_deps: list[Coordinate], groups: tuple[int, ...]):
     # Each group is one dependency, and two dependencies of one artifact
     # differ in version: a set is feasible when its groups' artifacts differ.
-    # `build_problem` numbers groups in order of first use, so each group's
-    # first variable lies past the previous group's: the scans for them
-    # cover *groups* once, in C.
-    artifact: list[tuple[str, str]] = []
-    first = 0
-    try:
-        while True:
-            first = groups.index(len(artifact), first)
-            artifact.append((deps[first].group, deps[first].artifact))
-    except ValueError:  # no variable has the next group
-        pass
+    artifact = [(dep.group, dep.artifact) for dep in group_deps]
 
     def feasible(chosen: frozenset[int]) -> bool:
         picked = {groups[var] for var in chosen}
@@ -170,27 +158,37 @@ def resolve(
     """Sketch *source*, pick a minimal dependency set, bind every sketch.
 
     Raises the frontend errors for unparseable input, ``CoverageError`` when
-    the knowledge base is useless for the snippet, and ``InfeasibleError``
-    when covering would mix versions of one artifact.
+    the knowledge base is useless for the snippet, and ``InfeasibleError``,
+    naming each artifact offered in several versions, when covering would
+    mix versions of one.
     """
     snippet, analysis = sketch_source(source, allow_wrap=not require_unit)
     declared = tuple(declared_deps)
-    problem, names, deps, tables, builtins, unresolved = build_problem(
+    problem, names, group_deps, tables, builtins, unresolved = build_problem(
         analysis.sketches, kb, declared
     )
     if strict and (unresolved or builtins):
         raise ResolutionError(
             "no candidates for: " + ", ".join(sorted(unresolved + builtins))
         )
-    model = solve_min(
-        problem,
-        feasible=_feasible_versions(deps, problem.groups),
-        tie_key=_tie_key(names),
-    )
+    try:
+        model = solve_min(
+            problem,
+            feasible=_feasible_versions(group_deps, problem.groups),
+            tie_key=_tie_key(names),
+        )
+    except InfeasibleError as exc:  # the version rule is the only constraint
+        versions: dict[str, list[str]] = {}
+        for dep in sorted(group_deps):
+            versions.setdefault(f"{dep.group}:{dep.artifact}", []).append(dep.version)
+        raise InfeasibleError(
+            "every cover mixes versions of one artifact: "
+            + "; ".join(f"{a} at {', '.join(v)}" for a, v in versions.items() if len(v) > 1)
+        ) from exc
 
     bindings: list[Binding] = []
     ambiguities: list[str] = []
-    for (sketch, candidates), clause in zip(tables, problem.clauses):
+    for (sketch, found), clause in zip(tables, problem.clauses):
         # Lookup order is (variable key, entry render): bind the first entry
         # under the smallest chosen key, found by bisection, not by a pass
         # over a clause that may hold thousands of candidates.
@@ -199,8 +197,8 @@ def resolve(
             ambiguities.append(
                 f"{sketch.render()} is satisfied by {len(keys)} choices: " + ", ".join(keys)
             )
-        first = bisect_left(candidates, keys[0], key=lambda candidate: names[candidate[0]])
-        bindings.append(Binding(sketch, candidates[first][1], keys[0]))
+        entry = found[bisect_left(found, keys[0], key=itemgetter(1))][0]
+        bindings.append(Binding(sketch, entry, keys[0]))
 
     imports = sorted({binding.entry.provider_fqn for binding in bindings})
     dependencies = sorted({binding.entry.dep.render() for binding in bindings})

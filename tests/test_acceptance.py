@@ -277,7 +277,8 @@ def test_criterion_8_declared_preference(fixture_kb, snippet_source):
     for trial in range(100):
         kb = _random_kb(rng)
         _, analysis = sketch_source(_SNIPPET)
-        problem, names, deps, *_ = build_problem(analysis.sketches, kb)
+        problem, names, group_deps, *_ = build_problem(analysis.sketches, kb)
+        deps = [group_deps[g] for g in problem.groups]
 
         undeclared = resolve(_SNIPPET, kb)
         assert undeclared.cost == _oracle_min_cost(problem, deps, set())

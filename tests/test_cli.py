@@ -375,6 +375,20 @@ class TestResolve:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {kb_path}:{at + 1}: bad supertype")
 
+    def test_version_conflict_names_the_artifact(self, tmp_path, capsys, monkeypatch):
+        kb = tmp_path / "kb.txt"
+        argv = ["ingest", "--kb", str(kb)]
+        for name, listing, dep in (("old", "T p.OnlyOld", "g:a:1"), ("new", "T q.OnlyNew", "g:a:2")):
+            (tmp_path / name).write_text(listing + "\n")
+            argv += ["--classes", str(tmp_path / name), "--dep", dep]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO("OnlyOld o = null; OnlyNew n = null;"))
+        assert main(["resolve", "-", "--kb", str(kb)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: every cover mixes versions of one artifact: g:a at 1, 2\n"
+
     def test_internal_error_is_one_line(self, kb_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("something\nbroke")

@@ -29,7 +29,7 @@ class TestBuildProblem:
         from depsketch.frontend import sketch_source
 
         _, analysis = sketch_source(snippet_source)
-        problem, names, deps, tables, builtins, unresolved = build_problem(
+        problem, names, group_deps, tables, builtins, unresolved = build_problem(
             analysis.sketches, fixture_kb
         )
         assert problem.num_vars == 5
@@ -40,7 +40,7 @@ class TestBuildProblem:
             "jdk:java8:8:java.util.regex.Pattern",
             "jdk:java8:8:java.util.regex.Matcher",
         ]
-        assert [d.render() for d in deps] == [
+        assert [group_deps[g].render() for g in problem.groups] == [
             "jdk:java8:8",
             "com.regexkit:regexkit:1.2",
             "jdk:java8:8",
@@ -58,6 +58,7 @@ class TestBuildProblem:
         assert problem.weights == (1, 1, 1, 1, 1)
         assert (builtins, unresolved) == ([], [])
         assert len(tables) == len(analysis.sketches)
+        assert [found for _, found in tables] == [fixture_kb.lookup(s) for s in analysis.sketches]
 
     def test_member_sketch_reuses_the_type_variable(self, fixture_kb, snippet_source):
         from depsketch.frontend import sketch_source
@@ -183,9 +184,14 @@ def test_build_problem_is_the_reference(kb, sketches, declared):
         with pytest.raises(CoverageError):
             build_problem(sketches, kb, declared)
         return
-    problem, names, deps, tables, builtins, unresolved = build_problem(sketches, kb, declared)
+    problem, names, group_deps, tables, builtins, unresolved = build_problem(sketches, kb, declared)
     assert problem == expected[0]
-    assert (names, deps, tables, builtins, unresolved) == expected[1:]
+    deps = [group_deps[group] for group in problem.groups]
+    assert len(set(group_deps)) == len(group_deps) == len(set(deps))
+    candidates = [
+        (sketch, [(names.index(key), entry) for entry, key in found]) for sketch, found in tables
+    ]
+    assert (names, deps, candidates, builtins, unresolved) == expected[1:]
 
 
 class TestResolveWalkthrough:
