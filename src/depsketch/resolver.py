@@ -8,6 +8,12 @@ type entries and the declaring type for members.  A static call like
 type sketch offers, unit propagation does the rest, and the import list
 falls out of the chosen variables directly.
 
+A clause whose keys include every key of another clause is implied by it
+and left out before its candidates are numbered, so a member sketch that
+thousands of types offer costs nothing once a type sketch offers a few of
+them.  Its sketch is still bound, from the chosen keys its lookup list
+holds.
+
 Weights are 1 per variable, 0 when the variable's dependency was declared
 by the caller, so solutions reuse what the project already has.  Each
 dependency is one solver group, so among covers of equal weight the solver
@@ -17,7 +23,8 @@ feasibility predicate allows one group per artifact, so versions never mix.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable
@@ -69,61 +76,171 @@ def build_problem(
     kb: KnowledgeBase,
     declared: Iterable[Coordinate] = (),
 ) -> tuple[CoveringProblem, list[str], list[Coordinate], list[tuple[Sketch, list]], list[str], list[str]]:
-    """Clauses for *sketches* against *kb*.
+    """Clauses for *sketches* against *kb*, implied clauses left out.
 
     Returns the problem, variable names, each group's dependency (one group
     per distinct dependency, numbered in order of first use), per-sketch
     ``(sketch, found)`` tables where *found* is the list `KnowledgeBase.lookup`
     returned, builtin renders, and unresolved renders.  A hole-free sketch
     nothing matches is taken as platform-provided.
+
+    Every sketch with candidates has a table, but a clause only when
+    `_implied` keeps it, in sketch order: a cover of the kept clauses covers
+    the rest, so no candidate only an implied clause offers is numbered.
+    The variables are the kept clauses' keys, numbered in the order all
+    clauses would give them (`_first_use`).
     """
     declared = set(declared)
-    index_of: dict[str, int] = {}
-    names: list[str] = []
-    weights: list[int] = []
-    groups: list[int] = []
-    group_of: dict[Coordinate, int] = {}
-    group_deps: list[Coordinate] = []
-    last_dep = group = weight = None
-    clauses: list[set[int]] = []
     tables: list[tuple[Sketch, list[tuple[KbEntry, str]]]] = []
     builtins: list[str] = []
     unresolved: list[str] = []
-
     for sketch in sketches:
         found = kb.lookup(sketch)
-        if not found:
-            if sketch.has_holes:
-                unresolved.append(sketch.render())
-            else:
-                builtins.append(sketch.render())
-            continue
-        clause: set[int] = set()
-        for entry, key in found:
-            index = index_of.get(key)
-            if index is None:
-                index = index_of[key] = len(names)
-                names.append(key)
-                dep = entry.dep
-                if dep is not last_dep:  # keys sort by dependency first
-                    last_dep, weight = dep, 0 if dep in declared else 1
-                    group = group_of.get(dep)
-                    if group is None:
-                        group = group_of[dep] = len(group_deps)
-                        group_deps.append(dep)
-                groups.append(group)
-                weights.append(weight)
-            clause.add(index)
-        clauses.append(clause)
-        tables.append((sketch, found))
-
-    if unresolved and not clauses:
+        if found:
+            tables.append((sketch, found))
+        elif sketch.has_holes:
+            unresolved.append(sketch.render())
+        else:
+            builtins.append(sketch.render())
+    if unresolved and not tables:
         raise CoverageError(
             "the knowledge base cannot cover any sketch in this snippet "
             f"(first unresolved: {unresolved[0]})"
         )
+
+    lists = [found for _, found in tables]
+    implied = _implied(lists)
+    names, dep_of = _first_use(lists, implied)
+    index_of = {key: index for index, key in enumerate(names)}
+    groups: list[int] = []
+    group_of: dict[Coordinate, int] = {}
+    last_dep = group = None
+    for key in names:
+        dep = dep_of[key]
+        if dep is not last_dep:  # keys of one list sort by dependency first
+            last_dep, group = dep, group_of.setdefault(dep, len(group_of))
+        groups.append(group)
+    group_deps = list(group_of)
+    weight_of = [0 if dep in declared else 1 for dep in group_deps]
+    weights = [weight_of[group] for group in groups]
+    clauses = [
+        set(map(index_of.__getitem__, map(_KEY, found)))
+        for found, gone in zip(lists, implied)
+        if not gone
+    ]
     problem = CoveringProblem(len(names), clauses, weights, groups=groups)
     return problem, names, group_deps, tables, builtins, unresolved
+
+
+_KEY = itemgetter(1)
+
+
+def _offers(found: list[tuple[KbEntry, str]], key: str) -> bool:
+    """Does the key-sorted lookup list *found* hold *key*?"""
+    at = bisect_left(found, key, key=_KEY)
+    return at < len(found) and found[at][1] == key
+
+
+def _within(small: list[tuple[KbEntry, str]], large: list[tuple[KbEntry, str]]) -> bool:
+    """Is every key of *small* one of *large*'s?  Stops at the first miss."""
+    return all(_offers(large, key) for _, key in small)
+
+
+def _first_use(
+    lists: list[list[tuple[KbEntry, str]]], implied: list[bool]
+) -> tuple[list[str], dict[str, Coordinate]]:
+    """The kept lists' keys, in the order numbering every list would give.
+
+    That is by the first list holding the key, then by key, as each list is
+    key-sorted; a key an implied list holds before any kept one moves up to
+    it.  With declared dependencies the covers `solve_min` reaches depend
+    on this order, so keeping it keeps the answer of the full problem.
+    Also returns each key's dependency.
+    """
+    first: dict[str, int] = {}  # key -> position of the first list holding it
+    dep_of: dict[str, Coordinate] = {}
+    for position, found in enumerate(lists):
+        if not implied[position]:
+            for entry, key in found:
+                if key not in first:
+                    first[key] = position
+                    dep_of[key] = entry.dep
+    names = list(first)
+    starts = list(first.values())
+    moved = False
+    for position, found in enumerate(lists):
+        # A list of one key is implied by an earlier list of that key alone,
+        # so only wider ones can hold a key first held later.
+        if implied[position] and found[0][1] != found[-1][1]:
+            start = bisect_right(starts, position)  # names first held after this list
+            if len(names) - start < len(found):
+                held = [key for key in names[start:] if first[key] > position and _offers(found, key)]
+            else:
+                held = [key for key in _keys(found) if first.get(key, -1) > position]
+            for key in held:
+                first[key] = position
+            moved = moved or bool(held)
+    if moved:
+        names.sort(key=lambda key: (first[key], key))
+    return names, dep_of
+
+
+def _keys(found: list[tuple[KbEntry, str]]) -> dict[str, None]:
+    """The distinct keys of a lookup list, in its order."""
+    return dict.fromkeys(map(_KEY, found))
+
+
+def _implied(lists: list[list[tuple[KbEntry, str]]]) -> list[bool]:
+    """For each key-sorted lookup list, does it hold every key of another?
+
+    Such a clause is implied by the smaller one (row dominance, Coudert,
+    "On Solving Covering Problems", DAC 1996), so it can be left out.  Of
+    lists with equal key sets the first is kept.
+
+    A list that holds every key of another holds each one of them, so every
+    list is indexed under one of its keys, its watch: the key the fewest
+    lists hold, counted over the entries of the lists shorter than the
+    number of lists, since those are read key by key anyway; a longer list
+    watches its smallest key.  A list's candidates come from that index,
+    read by whichever is shorter: the list's own keys, or the watch keys
+    within its range, each looked up by bisection.  Rare watches keep the
+    candidates few: were the smallest key every list's watch, calls to many
+    methods that one type offers among others would check every pair of
+    their lists.
+    """
+    short = len(lists)
+    holders = Counter(map(_KEY, chain.from_iterable(found for found in lists if len(found) < short)))
+    watchers: dict[str, list[int]] = {}
+    alone: dict[str, int] = {}  # key -> first list holding that key alone
+    for position, found in enumerate(lists):
+        watch = found[0][1]
+        if watch == found[-1][1]:
+            alone.setdefault(watch, position)
+        elif len(found) < short:
+            watch = min(_keys(found), key=holders.__getitem__)
+        watchers.setdefault(watch, []).append(position)
+    watched = sorted(watchers)
+    implied = []
+    for position, found in enumerate(lists):
+        smallest, largest = found[0][1], found[-1][1]
+        if smallest == largest:  # only an earlier list of that key alone implies it
+            implied.append(alone[smallest] < position)
+            continue
+        if len(found) < len(watched):
+            keys = [key for key in _keys(found) if key in watchers]
+        else:
+            low = bisect_left(watched, smallest)
+            keys = [key for key in watched[low : bisect_right(watched, largest, low)] if _offers(found, key)]
+        implied.append(
+            any(
+                other != position
+                and _within(lists[other], found)
+                and (other < position or not _within(found, lists[other]))
+                for key in keys
+                for other in watchers[key]
+            )
+        )
+    return implied
 
 
 def _feasible_versions(group_deps: list[Coordinate], groups: tuple[int, ...]):
@@ -178,26 +295,34 @@ def resolve(
             tie_key=_tie_key(names),
         )
     except InfeasibleError as exc:  # the version rule is the only constraint
+        # Read from every lookup list: an implied clause may offer versions
+        # the kept clauses' variables do not.
         versions: dict[str, list[str]] = {}
-        for dep in sorted(group_deps):
+        for dep in sorted({entry.dep for _, found in tables for entry, _ in found}):
             versions.setdefault(f"{dep.group}:{dep.artifact}", []).append(dep.version)
         raise InfeasibleError(
             "every cover mixes versions of one artifact: "
             + "; ".join(f"{a} at {', '.join(v)}" for a, v in versions.items() if len(v) > 1)
         ) from exc
 
+    chosen = sorted([names[var] for var in model.true_vars])
+    held = set(chosen)
     bindings: list[Binding] = []
     ambiguities: list[str] = []
-    for (sketch, found), clause in zip(tables, problem.clauses):
-        # Lookup order is (variable key, entry render): bind the first entry
-        # under the smallest chosen key, found by bisection, not by a pass
-        # over a clause that may hold thousands of candidates.
-        keys = sorted([names[index] for index in clause & model.true_vars])
+    for sketch, found in tables:
+        # Lookup order is (variable key, entry render), so the chosen keys a
+        # list holds come from a pass over the shorter of the two, bisecting
+        # into the list, never a pass over a list of thousands of candidates;
+        # the sketch binds the first entry under the smallest of them.
+        if len(found) > len(chosen):
+            keys = [key for key in chosen if _offers(found, key)]
+        else:
+            keys = [key for key in _keys(found) if key in held]
         if len(keys) > 1:
             ambiguities.append(
                 f"{sketch.render()} is satisfied by {len(keys)} choices: " + ", ".join(keys)
             )
-        entry = found[bisect_left(found, keys[0], key=itemgetter(1))][0]
+        entry = found[bisect_left(found, keys[0], key=_KEY)][0]
         bindings.append(Binding(sketch, entry, keys[0]))
 
     imports = sorted({binding.entry.provider_fqn for binding in bindings})

@@ -32,30 +32,18 @@ class TestBuildProblem:
         problem, names, group_deps, tables, builtins, unresolved = build_problem(
             analysis.sketches, fixture_kb
         )
-        assert problem.num_vars == 5
+        # ?.Pattern's clause holds every key of ?.compile's, ?.matcher's
+        # equals ?.compile's and ?.find's ?.Matcher's, so three clauses are
+        # kept and the other Pattern providers are never numbered.
+        assert problem.num_vars == 3
         assert names == [
             "jdk:java8:8:java.lang.String",
-            "com.regexkit:regexkit:1.2:com.regexkit.Pattern",
-            "jdk:java8:8:com.sun.org.apache.xalan.in.xsltc.compiler.Pattern",
             "jdk:java8:8:java.util.regex.Pattern",
             "jdk:java8:8:java.util.regex.Matcher",
         ]
-        assert [group_deps[g].render() for g in problem.groups] == [
-            "jdk:java8:8",
-            "com.regexkit:regexkit:1.2",
-            "jdk:java8:8",
-            "jdk:java8:8",
-            "jdk:java8:8",
-        ]
-        assert list(problem.clauses) == [
-            frozenset({0}),
-            frozenset({1, 2, 3}),
-            frozenset({3}),
-            frozenset({4}),
-            frozenset({3}),
-            frozenset({4}),
-        ]
-        assert problem.weights == (1, 1, 1, 1, 1)
+        assert [group_deps[g].render() for g in problem.groups] == ["jdk:java8:8"] * 3
+        assert list(problem.clauses) == [frozenset({0}), frozenset({1}), frozenset({2})]
+        assert problem.weights == (1, 1, 1)
         assert (builtins, unresolved) == ([], [])
         assert len(tables) == len(analysis.sketches)
         assert [found for _, found in tables] == [fixture_kb.lookup(s) for s in analysis.sketches]
@@ -64,12 +52,16 @@ class TestBuildProblem:
         from depsketch.frontend import sketch_source
 
         _, analysis = sketch_source(snippet_source)
-        problem, names, *_ = build_problem(analysis.sketches, fixture_kb)
+        problem, names, _, tables, *_ = build_problem(analysis.sketches, fixture_kb)
         pattern_var = names.index("jdk:java8:8:java.util.regex.Pattern")
-        compile_clause = problem.clauses[2]
-        type_clause = problem.clauses[1]
-        assert compile_clause == frozenset({pattern_var})
-        assert pattern_var in type_clause
+        (type_sketch, type_found), (compile_sketch, _) = tables[1:3]
+        assert (type_sketch.render(), compile_sketch.render()) == (
+            "?.Pattern", "?.compile(java.lang.String)?"
+        )
+        assert problem.clauses[1] == frozenset({pattern_var})
+        # the type sketch offers that key among three, so its clause is implied
+        assert names[pattern_var] in {key for _, key in type_found}
+        assert len(type_found) == 3 and max(map(len, problem.clauses)) == 1
 
     def test_declared_dependency_zeroes_weights(self, fixture_kb, snippet_source):
         from depsketch.frontend import sketch_source
@@ -78,7 +70,15 @@ class TestBuildProblem:
         problem, names, deps, *_ = build_problem(
             analysis.sketches, fixture_kb, declared=[JDK8]
         )
-        assert problem.weights == (0, 1, 0, 0, 0)
+        assert problem.weights == (0, 0, 0)
+        # a lone type sketch keeps every Pattern provider
+        _, analysis = sketch_source("Pattern p = null;")
+        problem, names, *_ = build_problem(analysis.sketches, fixture_kb, declared=[JDK8])
+        assert dict(zip(names, problem.weights)) == {
+            "com.regexkit:regexkit:1.2:com.regexkit.Pattern": 1,
+            "jdk:java8:8:com.sun.org.apache.xalan.in.xsltc.compiler.Pattern": 0,
+            "jdk:java8:8:java.util.regex.Pattern": 0,
+        }
 
     def test_every_sketch_lands_in_one_bucket(self, fixture_kb):
         from depsketch.frontend import sketch_source
@@ -92,6 +92,23 @@ class TestBuildProblem:
         assert len(tables) + len(builtins) + len(unresolved) == len(analysis.sketches)
         assert unresolved == ["?.Unknown", "java.lang.String.unheard()?"]
 
+    def test_implied_member_clause_numbers_no_candidate(self):
+        # five artifacts ship Item, Other and Third, each with run(String):
+        # the member clause offers all 15 providers, Item's clause 5 of them
+        kb = KnowledgeBase()
+        for artifact in range(5):
+            dep = Coordinate(f"org.a{artifact}", "lib", "1")
+            for name in ("Item", "Other", "Third"):
+                kb.add_entry(KbEntry.from_listing(f"T org.a{artifact}.{name}", dep))
+                kb.add_entry(
+                    KbEntry.from_listing(f"M org.a{artifact}.{name}.run(java.lang.String)void", dep)
+                )
+        _, analysis = sketch_source('Item v = null; v.run("x");')
+        problem, names, _, tables, *_ = build_problem(analysis.sketches, kb)
+        assert [len(found) for _, found in tables] == [5, 15]
+        assert problem.num_vars == max(map(len, problem.clauses)) == 5
+        assert all(name.endswith(".Item") for name in names)
+
     def test_variable_key_of_member_is_its_owner(self, fixture_kb):
         entry = KbEntry.from_listing(
             "M java.util.regex.Pattern.compile(java.lang.String)java.util.regex.Pattern",
@@ -101,10 +118,14 @@ class TestBuildProblem:
 
 
 def _reference_build_problem(sketches, kb, declared=()):
-    """`build_problem` as one Python step per candidate: the reference."""
+    """`build_problem` as one Python step per candidate: the reference.
+
+    Every clause is numbered first; then a clause whose keys include all of
+    another clause's keys is left out (the first of equal ones is kept),
+    and the variables no kept clause holds are dropped, in order.
+    """
     declared = set(declared)
     index_of, names, deps, weights, groups = {}, [], [], [], []
-    group_of, group_weight = {}, []
     clauses, tables, builtins, unresolved = [], [], [], []
     for sketch in sketches:
         found = kb.lookup(sketch)
@@ -117,21 +138,41 @@ def _reference_build_problem(sketches, kb, declared=()):
             if index is None:
                 index = index_of[key] = len(names)
                 names.append(key)
-                group = group_of.get(entry.dep)
-                if group is None:
-                    group = group_of[entry.dep] = len(group_weight)
-                    group_weight.append(0 if entry.dep in declared else 1)
                 deps.append(entry.dep)
-                groups.append(group)
-                weights.append(group_weight[group])
-            candidates.append((index, entry))
+            candidates.append((key, entry))
             clause.add(index)
         clauses.append(clause)
         tables.append((sketch, candidates))
     if unresolved and not clauses:
         raise CoverageError(f"first unresolved: {unresolved[0]}")
-    problem = CoveringProblem(len(names), clauses, weights, groups=groups)
-    return problem, names, deps, tables, builtins, unresolved
+    kept = [
+        clause
+        for position, clause in enumerate(clauses)
+        if not any(
+            other <= clause and (earlier < position or other != clause)
+            for earlier, other in enumerate(clauses)
+            if earlier != position
+        )
+    ]
+    used = sorted(set().union(*kept))
+    renumber = {old: new for new, old in enumerate(used)}
+    group_of, group_weight = {}, []
+    for old in used:
+        group = group_of.get(deps[old])
+        if group is None:
+            group = group_of[deps[old]] = len(group_weight)
+            group_weight.append(0 if deps[old] in declared else 1)
+        groups.append(group)
+        weights.append(group_weight[group])
+    problem = CoveringProblem(
+        len(used), [{renumber[old] for old in clause} for clause in kept], weights, groups=groups
+    )
+    variables = {names[old]: new for old, new in renumber.items()}
+    tables = [
+        (sketch, [(variables.get(key), entry) for key, entry in candidates])
+        for sketch, candidates in tables
+    ]
+    return problem, [names[old] for old in used], [deps[old] for old in used], tables, builtins, unresolved
 
 
 _DEPS = [Coordinate.parse(text) for text in ("g:a:1", "g:a:2", "g:b:1", "h:c:1")]
@@ -188,8 +229,9 @@ def test_build_problem_is_the_reference(kb, sketches, declared):
     assert problem == expected[0]
     deps = [group_deps[group] for group in problem.groups]
     assert len(set(group_deps)) == len(group_deps) == len(set(deps))
+    index_of = {name: index for index, name in enumerate(names)}
     candidates = [
-        (sketch, [(names.index(key), entry) for entry, key in found]) for sketch, found in tables
+        (sketch, [(index_of.get(key), entry) for entry, key in found]) for sketch, found in tables
     ]
     assert (names, deps, candidates, builtins, unresolved) == expected[1:]
 
