@@ -21,8 +21,6 @@ first-occurrence order.
 
 from __future__ import annotations
 
-import gc
-
 from ..model import (
     JAVA_LANG_TYPES,
     PRIMITIVES,
@@ -31,6 +29,7 @@ from ..model import (
     Record,
     Sketch,
     Span,
+    collector_paused,
 )
 from . import parser as ast
 from .parser import Snippet, parse, wrap
@@ -374,20 +373,11 @@ def analyze(unit: ast.CompilationUnit) -> Analysis:
 def sketch_source(source: str, allow_wrap: bool = True) -> tuple[Snippet, Analysis]:
     """Wrap (parsing the snippet once) and analyze in one step.
 
-    The cyclic garbage collector is paused meanwhile, if it was enabled,
-    and enabled again on the way out, also when this raises.  The switch
-    is one per process, so calls in concurrent threads can change when
-    collections run, never what a call returns.
+    The cyclic garbage collector is paused meanwhile (`collector_paused`).
     """
     # Tokens, trees, `TypeRef`s and sketches hold no reference cycles and
     # are freed by reference counting; running, the collector would only
     # re-scan the token list and the tree again and again as they grow.
-    enabled = gc.isenabled()
-    if enabled:
-        gc.disable()
-    try:
+    with collector_paused():
         snippet = wrap(source, allow_wrap=allow_wrap)
         return snippet, analyze(parse(snippet))
-    finally:
-        if enabled:
-            gc.enable()

@@ -16,7 +16,9 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import compress
 from pathlib import Path
 
-from .model import LINE_END, Coordinate, DepsketchError, EntryKind, KbEntry, Sketch
+from .model import (
+    LINE_END, Coordinate, DepsketchError, EntryKind, KbEntry, Sketch, collector_paused,
+)
 
 FORMAT_STAMP = "FQNKB v2"
 _END_RE = re.compile(r"end ([0-9]+) ([0-9]+)")
@@ -215,7 +217,8 @@ class KnowledgeBase:
         selection can cover a type sketch and the member sketches it serves.
         Results are sorted by key, then by entry FQN: each index bucket is
         sorted once, on its first lookup, and later lookups only filter it.
-        A loaded dump's section for the bucket is parsed on that first lookup.
+        A loaded dump's section for the bucket is parsed on that first lookup,
+        with the cyclic garbage collector paused (`collector_paused`).
 
         The section key already fixes kind, name and arity, so the filter
         compares only the positions of `_signature` that *sketch* writes
@@ -226,13 +229,16 @@ class KnowledgeBase:
         section = section_key(sketch)
         bucket = self._sorted_buckets.get(section)
         if bucket is None:
-            if self._lines:
-                self._parse_section(section)
-            index, key = self._index(sketch)
-            pool = [(entry, variable_key(entry)) for entry in index.get(key, ())]
-            pool.sort(key=lambda pair: (pair[1], pair[0].render()))
-            bucket = (pool, list(zip(*[_signature(entry) for entry, _ in pool])))
-            self._sorted_buckets[section] = bucket  # only now: a failed section fails on every read
+            # Entries, keys and columns hold no reference cycles.
+            with collector_paused():
+                if self._lines:
+                    self._parse_section(section)
+                index, key = self._index(sketch)
+                pool = [(entry, variable_key(entry)) for entry in index.get(key, ())]
+                pool.sort(key=lambda pair: (pair[1], pair[0].render()))
+                bucket = (pool, list(zip(*[_signature(entry) for entry, _ in pool])))
+                # only now: a failed section fails on every read
+                self._sorted_buckets[section] = bucket
         pool, columns = bucket
         written = [pair for pair in zip(columns, _signature(sketch)) if pair[1] != "?"]
         if not written:

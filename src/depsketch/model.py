@@ -14,7 +14,9 @@ is an admissible completion of a sketch.
 
 from __future__ import annotations
 
+import gc
 import re
+from contextlib import contextmanager
 from enum import Enum
 from functools import total_ordering
 
@@ -54,6 +56,26 @@ _FQN_RE = re.compile(_FQN)
 _TYPE_RE = re.compile(_TYPE)
 # numeric versions like 1.0 / 2.3.1-SNAPSHOT / 8, or a bare tag like java8
 _VERSION_RE = re.compile(r"\d+(?:\.\d+)*(?:[-+][^\s:]+)?|[A-Za-z][A-Za-z0-9_.+-]*")
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector for a block, if it was enabled.
+
+    It is enabled again on the way out, also when the block raises.  For
+    blocks that build many objects with no reference cycles, which
+    reference counting frees: running, the collector would only re-scan
+    them as they grow, and a full collection would walk the caller's whole
+    heap.  The switch is one per process, so blocks in concurrent threads
+    can change when collections run, never what a block returns.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def is_fqn(text: str) -> bool:

@@ -174,7 +174,9 @@ def _first_use(
         if implied[position] and found[0][1] != found[-1][1]:
             start = bisect_right(starts, position)  # names first held after this list
             if len(names) - start < len(found):
-                held = [key for key in names[start:] if first[key] > position and _offers(found, key)]
+                held = [
+                    key for key in names[start:] if first[key] > position and _offers(found, key)
+                ]
             else:
                 held = [key for key in _keys(found) if first.get(key, -1) > position]
             for key in held:
@@ -209,7 +211,9 @@ def _implied(lists: list[list[tuple[KbEntry, str]]]) -> list[bool]:
     their lists.
     """
     short = len(lists)
-    holders = Counter(map(_KEY, chain.from_iterable(found for found in lists if len(found) < short)))
+    holders = Counter(
+        map(_KEY, chain.from_iterable(found for found in lists if len(found) < short))
+    )
     watchers: dict[str, list[int]] = {}
     alone: dict[str, int] = {}  # key -> first list holding that key alone
     for position, found in enumerate(lists):
@@ -230,7 +234,9 @@ def _implied(lists: list[list[tuple[KbEntry, str]]]) -> list[bool]:
             keys = [key for key in _keys(found) if key in watchers]
         else:
             low = bisect_left(watched, smallest)
-            keys = [key for key in watched[low : bisect_right(watched, largest, low)] if _offers(found, key)]
+            keys = [
+                key for key in watched[low : bisect_right(watched, largest, low)] if _offers(found, key)
+            ]
         implied.append(
             any(
                 other != position
