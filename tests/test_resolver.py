@@ -109,6 +109,24 @@ class TestBuildProblem:
         assert problem.num_vars == max(map(len, problem.clauses)) == 5
         assert all(name.endswith(".Item") for name in names)
 
+    def test_calls_on_one_receiver_check_few_candidates(self, monkeypatch):
+        # p.A offers m0..m199 and q.Bi offers mi as well: every member clause
+        # holds p.A's key and none implies another, so indexing each clause
+        # under its smallest key would check all 200 * 199 pairs
+        kb, k = KnowledgeBase(), 200
+        for i in range(k):
+            kb.add_entry(KbEntry.from_listing(f"M p.A.m{i}()void", Coordinate.parse("a:a:1")))
+            kb.add_entry(KbEntry.from_listing(f"M q.B{i}.m{i}()void", Coordinate.parse("b:b:1")))
+        within = resolver_module._within
+        checks = []
+        monkeypatch.setattr(
+            resolver_module, "_within", lambda small, large: checks.append(1) or within(small, large)
+        )
+        _, analysis = sketch_source("X x = null; " + " ".join(f"x.m{i}();" for i in range(k)))
+        problem, *_ = build_problem(analysis.sketches, kb)
+        assert len(problem.clauses) == k
+        assert len(checks) <= k
+
     def test_variable_key_of_member_is_its_owner(self, fixture_kb):
         entry = KbEntry.from_listing(
             "M java.util.regex.Pattern.compile(java.lang.String)java.util.regex.Pattern",
