@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 import time
 
@@ -236,6 +237,47 @@ class TestTokenizeDifferential:
     )
     def test_edge_inputs_lex_as_the_reference_loop(self, source):
         assert lexed(tokenize, source) == lexed(reference_tokenize, source)
+
+
+class TestTokenizeAtScale:
+    # Soups hold at most 40 pieces, so a position computed wrongly only
+    # after many lines would not show there.  This source is thousands of
+    # tokens over thousands of lines, with every kind of line end, in
+    # blanks, comments and continued literals alike.
+    TOKENS = ["x", "value", "a$b", "café", "int", "class", "null", "0", "12", "2L", "4d", "3.5",
+              '"s"', '"a\\"b"', "'c'", "'\\''", '"a\\\nb"', '"a\\\r\nb\\\rc"', "'\\\n'",
+              "==", "->", "{", "}", "(", ")", ";", ".", "<", "+", "/", "@"]
+    # Each separator starts with a blank, so it never joins the token before it.
+    SEPARATORS = [" ", "  ", "\t", "\n", "\r", "\r\n", " \r\n\t", " /* a\r\nb\n\rc */ ",
+                  " /**/", " // note\r", " // note\r\n", " /* x */\n"]
+
+    @staticmethod
+    def mixed_source(seed: int, pieces: int) -> str:
+        rng = random.Random(seed)
+        parts = []
+        for _ in range(pieces):
+            parts.append(rng.choice(TestTokenizeAtScale.TOKENS))
+            parts.append(rng.choice(TestTokenizeAtScale.SEPARATORS))
+        return "".join(parts)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_long_source_lexes_as_the_reference_loop(self, seed):
+        source = self.mixed_source(seed, 6000)
+        expected = reference_tokenize(source)
+        tokens = tokenize(source)
+        assert len(tokens) == len(expected) == 6001
+        assert expected[-1][2] > 3000  # the eof token's line
+        rng = random.Random(seed)
+        for index in rng.sample(range(len(expected)), 300) + [-1, -2, -len(expected)]:
+            assert tuple(tokens[index]) == expected[index]
+        assert [tuple(token) for token in tokens] == expected
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_bad_character_after_a_long_source(self, seed):
+        source = self.mixed_source(seed, 6000) + "~"
+        error = lexed(tokenize, source)
+        assert error == lexed(reference_tokenize, source)
+        assert error[2] > 3000
 
 
 class TestTokenizeTime:
@@ -653,6 +695,55 @@ class TestExpressionErrors:
     def test_message_position_and_expectations(self, source, message, expected):
         with pytest.raises(JavaSyntaxError) as err:
             parse_statements(source)
+        line, col, _ = message.split(":", 2)
+        assert str(err.value) == message
+        assert (err.value.line, err.value.col) == (int(line), int(col))
+        assert err.value.expected == frozenset(expected)
+
+
+class TestErrorsAfterContinuedLines:
+    # A string or char continued by a backslash-newline stays on its start
+    # line, and CR LF or a lone CR ends a line as LF does; the parser's own
+    # errors after them keep the lexer's line and column.
+    @pytest.mark.parametrize(
+        "parse, source, message, expected",
+        [
+            (parse_statements, 's = "a\\\nb" + x\ny = 1;', "2:1: expected ';', found 'y'", {";"}),
+            (parse_statements, 's = "a\\\nb"; t = (1 ;', "1:20: expected ')', found ';'", {")"}),
+            (parse_statements, "c = '\\\n'; x = a +;", "1:18: expected an expression, found ';'",
+             {"<expression>"}),
+            (parse_statements, 'x = "a\\\r\nb";\r\ny = 1', "2:6: expected ';', found end of input",
+             {";"}),
+            (parse_statements, "int x;\r\nint y = (1;\r\n", "2:11: expected ')', found ';'", {")"}),
+            (parse_statements, "a;\rb.c<d> e;", "2:4: generic types are not supported, found '<'",
+             set()),
+            (parse_statements, 's = "a\\\nb"; x = ' + "(" * 65 + "b" + ")" * 65 + ";",
+             "1:81: nesting deeper than 64 levels is not supported", set()),
+            (parse_statements, 'x = "a\\\r\nb\\\rc";\r\n{\r\n' + "{" * 64 + "}" * 65,
+             "3:64: nesting deeper than 64 levels is not supported", set()),
+            (parse_unit, 'class A {\r\n  String s = "x\\\r\ny";\r\n  int n = 1\r\n}',
+             "4:1: expected ';', found '}'", {";"}),
+            (parse_unit, 'class A { void go() { s = "a\\\nb";',
+             "1:34: unexpected end of block, found end of input", {"}"}),
+            (parse_unit, 'import a.B;\r\nclass A { void go() { s = "a\\\r\nb"; new int(); } }',
+             "2:39: cannot instantiate a primitive type", set()),
+            (parse_unit, 'class A {\r\n  String s = "\\\r\n";\r\n  List<String> x;\r\n}',
+             "3:7: generic types are not supported, found '<'", set()),
+            (parse_unit, 'package a;\rimport "b\\\nc";', "2:8: expected an imported type name, "
+             "found '\"b\\\\\\nc\"'", {"<identifier>"}),
+            (parse_unit, "import a.B;\r\n\r\nimport C;", "3:1: import needs a package-qualified "
+             "name, got 'C'", set()),
+        ],
+        ids=[
+            "string-then-missing-semicolon", "string-then-unclosed-paren", "char-then-operator",
+            "crlf-string-then-end", "crlf-unclosed-paren", "cr-generic-head", "string-then-65-parens",
+            "crlf-65-blocks", "crlf-field", "string-then-end-of-block", "crlf-new-primitive",
+            "crlf-generic-field", "continued-string-as-import", "crlf-unqualified-import",
+        ],
+    )
+    def test_message_position_and_expectations(self, parse, source, message, expected):
+        with pytest.raises(JavaSyntaxError) as err:
+            parse(source)
         line, col, _ = message.split(":", 2)
         assert str(err.value) == message
         assert (err.value.line, err.value.col) == (int(line), int(col))
