@@ -303,6 +303,24 @@ class TestTokenizeTime:
         error = (JavaSyntaxError, "1:3: unterminated block comment", 1, 3, frozenset())
         assert self.timed(source) == error
 
+    def test_a_long_line_without_a_newline(self):
+        source = "x = y;" * 50_000
+        tokens = self.timed(source)
+        assert len(tokens) == 200_001
+        assert tokens[-2:] == [("punct", ";", 1, len(source)), ("eof", "", 1, len(source) + 1)]
+
+    @pytest.mark.parametrize(
+        "piece, message",
+        [('"\\', "unterminated string literal"), ("'\\", "unterminated char literal"),
+         ("/* ", "unterminated block comment")],
+        ids=["string", "char", "comment"],
+    )
+    def test_many_unterminated_openers(self, piece, message):
+        # Each opener's form scans to the end of the source and fails; lexing
+        # stops at the first, so the source is scanned once, not once per opener.
+        source = piece * 300_000
+        assert self.timed(source) == (JavaSyntaxError, f"1:1: {message}", 1, 1, frozenset())
+
 
 class TestParseUnit:
     def test_fixture_structure(self, snippet_source):
