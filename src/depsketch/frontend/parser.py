@@ -30,7 +30,7 @@ from __future__ import annotations
 from enum import Enum
 
 from ..model import PRIMITIVES, Record, Span
-from .lexer import JavaSyntaxError, MODIFIER_KEYWORDS, Token, tokenize
+from .lexer import JavaSyntaxError, MODIFIER_KEYWORDS, Tokens, tokenize
 
 _ZERO = Span(1, 1, 1, 1)
 # Deepest nesting of parentheses, argument lists, unary operators, blocks
@@ -41,6 +41,7 @@ MAX_NESTING = 64
 # Binary operator -> precedence level, as in the grammar above.
 _LEVELS = {"||": 0, "&&": 1, "==": 2, "!=": 2, "<": 3, ">": 3, "<=": 3, ">=": 3,
            "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
+_LITERAL_KINDS = frozenset({"int", "long", "double", "string", "char"})
 
 
 # -- AST ---------------------------------------------------------------------
@@ -177,51 +178,62 @@ class Binary(Record):
 
 
 class _Parser:
-    def __init__(self, source: str | list[Token]):
-        self.tokens = tokenize(source) if isinstance(source, str) else source
+    """Recursive descent over the columns of `Tokens`.
+
+    ``pos`` is the index of the next token; the parser reads the ``texts``
+    and ``kinds`` columns at it, and a method that consumes a token returns
+    the token's index.  A token's line and column are looked up only for a
+    `Span` the parser keeps or an error it raises (`Tokens.span`,
+    `Tokens.position`).  Keyword and punctuation texts are spelled by no
+    other kind of token, and only ``eof`` has an empty text, so most tests
+    read the text alone.
+    """
+
+    def __init__(self, source: str | Tokens):
+        tokens = tokenize(source) if isinstance(source, str) else source
+        self.texts = tokens.texts
+        self.kinds = tokens.kinds
+        self.span = tokens.span
+        self.position = tokens.position
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind != "eof":
-            self.pos += 1
-        return token
+    def advance(self) -> int:
+        pos = self.pos
+        if self.texts[pos]:  # eof is never passed
+            self.pos = pos + 1
+        return pos
 
     def at(self, text: str) -> bool:
-        token = self.tokens[self.pos]
-        return token.text == text and token.kind in ("punct", "kw")
+        return self.texts[self.pos] == text
 
-    def error(self, message: str, token: Token | None = None, expected: set[str] = ()) -> JavaSyntaxError:
-        token = token or self.peek()
-        found = repr(token.text) if token.kind != "eof" else "end of input"
-        return JavaSyntaxError(
-            f"{message}, found {found}", token.line, token.col, frozenset(expected)
-        )
+    def error(self, message: str, index: int | None = None, expected: set[str] = ()) -> JavaSyntaxError:
+        index = self.pos if index is None else index
+        text = self.texts[index]
+        found = repr(text) if text else "end of input"
+        return JavaSyntaxError(f"{message}, found {found}", *self.position(index), frozenset(expected))
 
-    def nest(self, opening: Token) -> None:
+    def nest(self, opening: int) -> None:
         """Enter one nesting level; the caller leaves it with ``depth -= 1``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise JavaSyntaxError(
-                f"nesting deeper than {MAX_NESTING} levels is not supported",
-                opening.line,
-                opening.col,
+                f"nesting deeper than {MAX_NESTING} levels is not supported", *self.position(opening)
             )
 
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
+    def expect(self, text: str) -> int:
+        pos = self.pos
+        if self.texts[pos] != text:
             raise self.error(f"expected {text!r}", expected={text})
-        return self.advance()
+        self.pos = pos + 1
+        return pos
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        token = self.peek()
-        if token.kind != "ident":
+    def expect_ident(self, what: str = "identifier") -> int:
+        pos = self.pos
+        if self.kinds[pos] != "ident":
             raise self.error(f"expected {what}", expected={"<identifier>"})
-        return self.advance()
+        self.pos = pos + 1
+        return pos
 
     # -- declarations --
 
@@ -230,15 +242,15 @@ class _Parser:
         imports = []
         while self.at("import"):
             imports.append(self._import_decl())
-        body = self.peek().span
+        body = self.span(self.pos)
         classes = [self._class_decl()]
-        while self.peek().kind != "eof":
+        while self.texts[self.pos]:
             classes.append(self._class_decl())
         return CompilationUnit(imports, classes, package, body)
 
     def parse_statements(self) -> list:
         statements = []
-        while self.peek().kind != "eof":
+        while self.texts[self.pos]:
             statements.append(self._statement())
         return statements
 
@@ -249,27 +261,26 @@ class _Parser:
         while self.at("."):
             self.advance()
             self.expect_ident("a package name")
-        end = self.expect(";")
-        return Span(start.line, start.col, end.line, end.col + 1)
+        return self.span(start, self.expect(";"))
 
     def _import_decl(self) -> ImportDecl:
         start = self.expect("import")
-        parts = [self.expect_ident("an imported type name").text]
+        parts = [self.texts[self.expect_ident("an imported type name")]]
         while self.at("."):
             self.advance()
             if self.at("*"):
                 raise self.error("wildcard imports are not supported")
-            parts.append(self.expect_ident("an imported type name").text)
+            parts.append(self.texts[self.expect_ident("an imported type name")])
         self.expect(";")
         fqn = ".".join(parts)
         if len(parts) < 2:
             raise JavaSyntaxError(
-                f"import needs a package-qualified name, got {fqn!r}", start.line, start.col
+                f"import needs a package-qualified name, got {fqn!r}", *self.position(start)
             )
-        return ImportDecl(fqn, start.span)
+        return ImportDecl(fqn, self.span(start))
 
     def _skip_modifiers(self) -> None:
-        while self.peek().kind == "kw" and self.peek().text in MODIFIER_KEYWORDS:
+        while self.texts[self.pos] in MODIFIER_KEYWORDS:
             self.advance()
 
     def _class_decl(self) -> ClassDecl:
@@ -283,11 +294,11 @@ class _Parser:
         self.expect("{")
         members = []
         while not self.at("}"):
-            if self.peek().kind == "eof":
+            if not self.texts[self.pos]:
                 raise self.error("unexpected end of class body", expected={"}"})
             members.append(self._member())
         self.expect("}")
-        return ClassDecl(name.text, extends, members, start.span)
+        return ClassDecl(self.texts[name], extends, members, self.span(start))
 
     def _member(self) -> MethodDecl | VarDecl:
         self._skip_modifiers()
@@ -296,7 +307,9 @@ class _Parser:
         if self.at("("):
             params = self._params()
             body = self._block()
-            return MethodDecl(member_type, name.text, name.span, params, body, member_type.span)
+            return MethodDecl(
+                member_type, self.texts[name], self.span(name), params, body, member_type.span
+            )
         field = self._declarator(member_type, name)
         self.expect(";")
         return field
@@ -309,46 +322,44 @@ class _Parser:
                 self.expect(",")
             param_type = self._type_name()
             name = self.expect_ident("a parameter name")
-            params.append(VarDecl(param_type, name.text, name.span, None, param_type.span))
+            params.append(VarDecl(param_type, self.texts[name], self.span(name), None, param_type.span))
         self.expect(")")
         return params
 
-    def _declarator(self, var_type: TypeName, name: Token) -> VarDecl:
+    def _declarator(self, var_type: TypeName, name: int) -> VarDecl:
         init = None
         if self.at("="):
             self.advance()
             init = self._expression()
-        return VarDecl(var_type, name.text, name.span, init, var_type.span)
+        return VarDecl(var_type, self.texts[name], self.span(name), init, var_type.span)
 
     def _type_name(self) -> TypeName:
-        token = self.peek()
-        if token.kind == "kw" and token.text in PRIMITIVES:
-            self.advance()
-            name = TypeName(token.text, token.span)
-        elif token.kind == "ident":
+        pos = self.pos
+        text = self.texts[pos]
+        if text in PRIMITIVES:
+            self.pos = pos + 1
+            name = TypeName(text, self.span(pos))
+        elif self.kinds[pos] == "ident":
             name = TypeName(*self._qualified_name())
         else:
             raise self.error("expected a type name", expected={"<type>"})
-        self._reject_type_suffix(self.tokens[self.pos])
+        self._reject_type_suffix(self.pos)
         return name
 
     def _qualified_name(self) -> tuple[str, Span]:
-        first = self.expect_ident("a type name")
-        parts = [first.text]
-        last = first
-        while self.at(".") and self.tokens[self.pos + 1].kind == "ident":  # a "." is never last
-            self.advance()
-            last = self.advance()
-            parts.append(last.text)
-        span = Span(first.line, first.col, last.line, last.col + len(last.text))
-        return ".".join(parts), span
+        texts, kinds = self.texts, self.kinds
+        first = last = self.expect_ident("a type name")
+        while texts[last + 1] == "." and kinds[last + 2] == "ident":  # a "." is never last
+            last += 2
+        self.pos = last + 1
+        return ".".join(texts[first:last + 1:2]), self.span(first, last)
 
-    def _reject_type_suffix(self, token: Token) -> None:
-        # Only punctuation is spelled "<" or "[".
-        if token.text == "<":
-            raise self.error("generic types are not supported", token)
-        if token.text == "[":
-            raise self.error("array types are not supported", token)
+    def _reject_type_suffix(self, index: int) -> None:
+        text = self.texts[index]
+        if text == "<":
+            raise self.error("generic types are not supported", index)
+        if text == "[":
+            raise self.error("array types are not supported", index)
 
     # -- statements --
 
@@ -357,35 +368,38 @@ class _Parser:
         self.nest(start)
         statements = []
         while not self.at("}"):
-            if self.peek().kind == "eof":
+            if not self.texts[self.pos]:
                 raise self.error("unexpected end of block", expected={"}"})
             statements.append(self._statement())
         self.expect("}")
         self.depth -= 1
-        return Block(statements, start.span)
+        return Block(statements, self.span(start))
 
     def _statement(self):
-        token = self.tokens[self.pos]
-        if token.kind == "punct":
-            if token.text == "{":
+        pos = self.pos
+        text = self.texts[pos]
+        kind = self.kinds[pos]
+        if kind == "punct":
+            if text == "{":
                 return self._block()
-            if token.text == ";":
-                return EmptyStmt(self.advance().span)
-        elif token.kind == "kw":
-            if token.text == "if":
+            if text == ";":
+                self.pos = pos + 1
+                return EmptyStmt(self.span(pos))
+        elif kind == "kw":
+            if text == "if":
                 return self._if_stmt()
-            if token.text == "while":
+            if text == "while":
                 return self._while_stmt()
-            if token.text == "for":
+            if text == "for":
                 return self._for_stmt()
-            if token.text == "return":
-                self.advance()
+            if text == "return":
+                self.pos = pos + 1
                 value = None if self.at(";") else self._expression()
                 self.expect(";")
-                return ReturnStmt(value, token.span)
-            if token.text in ("class", "import"):
+                return ReturnStmt(value, self.span(pos))
+            if text in ("class", "import"):
                 raise self.error("declarations are not allowed inside a snippet body")
-            if token.text not in PRIMITIVES and token.text not in ("new", "true", "false", "null"):
+            if text not in PRIMITIVES and text not in ("new", "true", "false", "null"):
                 raise self.error("expected a statement")
         stmt = self._simple_statement()
         self.expect(";")
@@ -401,16 +415,14 @@ class _Parser:
     def _at_declaration(self) -> bool:
         # A primitive keyword or "Name.Name... ident" starts a declaration.
         # The dotted name is only walked over here; `_type_name` reads it.
-        tokens, pos = self.tokens, self.pos
-        token = tokens[pos]
-        if token.kind != "ident":
-            return token.kind == "kw" and token.text in PRIMITIVES
+        texts, kinds, pos = self.texts, self.kinds, self.pos
+        if kinds[pos] != "ident":
+            return texts[pos] in PRIMITIVES
         pos += 1
-        while tokens[pos].text == "." and tokens[pos + 1].kind == "ident":  # a "." is never last
+        while texts[pos] == "." and kinds[pos + 1] == "ident":  # a "." is never last
             pos += 2
-        token = tokens[pos]
-        self._reject_type_suffix(token)
-        return token.kind == "ident"
+        self._reject_type_suffix(pos)
+        return kinds[pos] == "ident"
 
     def _assignment_or_expression(self):
         expr = self._expression()
@@ -432,7 +444,7 @@ class _Parser:
             self.expect("(")
             cond = self._expression()
             self.expect(")")
-            rungs.append((cond, self._statement(), start.span))
+            rungs.append((cond, self._statement(), self.span(start)))
             if not self.at("else"):
                 break
             self.advance()
@@ -453,7 +465,7 @@ class _Parser:
         self.expect(")")
         body = self._statement()
         self.depth -= 1
-        return WhileStmt(cond, body, start.span)
+        return WhileStmt(cond, body, self.span(start))
 
     def _for_stmt(self) -> ForStmt:
         start = self.expect("for")
@@ -467,7 +479,7 @@ class _Parser:
         self.expect(")")
         body = self._statement()
         self.depth -= 1
-        return ForStmt(init, cond, update, body, start.span)
+        return ForStmt(init, cond, update, body, self.span(start))
 
     # -- expressions --
 
@@ -480,46 +492,50 @@ class _Parser:
     def _binary(self, floor: int):
         """Unary operands joined by operators of level *floor* or above."""
         left = self._unary()
+        texts = self.texts
         while True:
-            op = self.tokens[self.pos]
-            level = _LEVELS.get(op.text, -1)  # only punctuation spells an operator
+            op = self.pos
+            level = _LEVELS.get(texts[op], -1)  # only punctuation spells an operator
             if level < floor:
                 return left
-            self.pos += 1
-            left = Binary(op.text, left, self._binary(level + 1), op.span)
+            self.pos = op + 1
+            left = Binary(texts[op], left, self._binary(level + 1), self.span(op))
 
     def _unary(self):
         """A prefix operator and its operand, or a primary with its member suffixes."""
-        token = self.tokens[self.pos]
-        if token.kind == "punct" and token.text in ("!", "-"):
-            self.pos += 1
-            self.nest(token)
+        texts = self.texts
+        pos = self.pos
+        text = texts[pos]
+        if text == "!" or text == "-":
+            self.pos = pos + 1
+            self.nest(pos)
             operand = self._unary()
             self.depth -= 1
-            return Unary(token.text, operand, token.span)
+            return Unary(text, operand, self.span(pos))
         expr = self._primary()
-        tokens = self.tokens
-        while tokens[self.pos].text == ".":  # only punctuation is spelled "." or "("
+        while texts[self.pos] == ".":
             self.pos += 1
             name = self.expect_ident("a member name")
-            if tokens[self.pos].text == "(":
+            if texts[self.pos] == "(":
                 args = self._arguments()
-                expr = MethodCall(expr, name.text, args, name.span)
+                expr = MethodCall(expr, texts[name], args, self.span(name))
             else:
-                expr = FieldAccess(expr, name.text, name.span)
+                expr = FieldAccess(expr, texts[name], self.span(name))
         return expr
 
     def _primary(self):
-        token = self.tokens[self.pos]
-        if token.kind in ("int", "long", "double", "string", "char"):
-            self.advance()
-            return Literal(token.kind, token.text, token.span)
-        if token.kind == "kw":
-            if token.text in ("true", "false", "null"):
-                self.advance()
-                return Literal("null" if token.text == "null" else "boolean", token.text, token.span)
-            if token.text == "new":
-                self.advance()
+        pos = self.pos
+        text = self.texts[pos]
+        kind = self.kinds[pos]
+        if kind in _LITERAL_KINDS:
+            self.pos = pos + 1
+            return Literal(kind, text, self.span(pos))
+        if kind == "kw":
+            if text in ("true", "false", "null"):
+                self.pos = pos + 1
+                return Literal("null" if text == "null" else "boolean", text, self.span(pos))
+            if text == "new":
+                self.pos = pos + 1
                 new_type = self._type_name()
                 if new_type.text in PRIMITIVES:
                     raise JavaSyntaxError(
@@ -529,19 +545,19 @@ class _Parser:
                     )
                 args = self._arguments()
                 return NewExpr(new_type, args, new_type.span)
-        if token.kind == "ident":
-            self.pos += 1
-            if self.tokens[self.pos].text == "(":
+        if kind == "ident":
+            self.pos = pos + 1
+            if self.texts[pos + 1] == "(":
                 args = self._arguments()
-                return MethodCall(None, token.text, args, token.span)
-            return Identifier(token.text, token.span)
-        if self.at("("):
+                return MethodCall(None, text, args, self.span(pos))
+            return Identifier(text, self.span(pos))
+        if text == "(":
             self.nest(self.advance())
             expr = self._expression()
             self.expect(")")
             self.depth -= 1
             return expr
-        if self.at("@"):
+        if text == "@":
             raise self.error("annotations are not supported")
         raise self.error("expected an expression", expected={"<expression>"})
 
@@ -557,11 +573,11 @@ class _Parser:
         return args
 
 
-def parse_unit(source: str | list[Token]) -> CompilationUnit:
+def parse_unit(source: str | Tokens) -> CompilationUnit:
     return _Parser(source).parse_unit()
 
 
-def parse_statements(source: str | list[Token]) -> list:
+def parse_statements(source: str | Tokens) -> list:
     return _Parser(source).parse_statements()
 
 
@@ -611,8 +627,7 @@ def wrap(source: str, allow_wrap: bool = True) -> Snippet:
     if not source.strip():
         raise JavaSyntaxError("empty source", 1, 1)
     tokens = tokenize(source)
-    first = tokens[0]
-    if not allow_wrap or (first.kind == "kw" and first.text in _UNIT_START):
+    if not allow_wrap or tokens.texts[0] in _UNIT_START:
         return Snippet(source, Origin.FREESTANDING, parse_unit(tokens))
     body = Block(parse_statements(tokens), _ZERO)
     run = MethodDecl(TypeName("void", _ZERO), "__run", _ZERO, [], body, _ZERO)
