@@ -148,7 +148,6 @@ class Coordinate(Record):
 
     __slots__ = ("group", "artifact", "version")
     __setattr__ = __delattr__ = Record._read_only
-    __hash__ = Record._hash
 
     def __init__(self, group: str, artifact: str, version: str) -> None:
         for label, value in (("group", group), ("artifact", artifact)):
@@ -163,6 +162,11 @@ class Coordinate(Record):
 
     def _values(self) -> tuple[str, str, str]:
         return (self.group, self.artifact, self.version)
+
+    def __hash__(self) -> int:
+        # `Record._hash`'s value, without its call to `_values`: coordinates
+        # key the dicts and sets of every covering problem.
+        return hash((self.group, self.artifact, self.version))
 
     def __lt__(self, other: Coordinate) -> bool:
         if other.__class__ is not self.__class__:
