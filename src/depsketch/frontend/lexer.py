@@ -158,11 +158,8 @@ class Tokens(Sequence):
     def __len__(self) -> int:
         return len(self.texts)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self.texts)))]
-        text = self.texts[index]
-        return _new(Token, (self.kinds[index], text, *self.position(index)))
+    def __getitem__(self, index: int) -> Token:
+        return _new(Token, (self.kinds[index], self.texts[index], *self.position(index)))
 
     def position(self, index: int) -> tuple[int, int]:
         """1-based line and column of token *index*."""
