@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import gc
 import re
-from contextlib import contextmanager
 from enum import Enum
 from functools import total_ordering
 
@@ -58,23 +57,27 @@ _TYPE_RE = re.compile(_TYPE)
 _VERSION_RE = re.compile(r"\d+(?:\.\d+)*(?:[-+][^\s:]+)?|[A-Za-z][A-Za-z0-9_.+-]*")
 
 
-@contextmanager
-def collector_paused():
-    """Pause the cyclic garbage collector for a block, if it was enabled.
+class collector_paused:
+    """Pause the cyclic garbage collector for a ``with`` block, if it was enabled.
 
     It is enabled again on the way out, also when the block raises.  For
     blocks that build many objects with no reference cycles, which
     reference counting frees: running, the collector would only re-scan
     them as they grow, and a full collection would walk the caller's whole
     heap.  The switch is one per process, so blocks in concurrent threads
-    can change when collections run, never what a block returns.
+    can change when collections run, never what a block returns.  Leaving
+    the block allocates nothing, so a collection the pause put off runs at
+    the caller's next allocation, not inside the exit.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
+
+    __slots__ = ("enabled",)
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if self.enabled:
             gc.enable()
 
 
