@@ -16,10 +16,10 @@ token or one error:
     eof     the end of the source, after the last prefix
     bad     any other one character, an unexpected-character error
 
-The forms are tried in this order, so every position matches.  An error
-match takes the rest of the source with it, so the pass ends at the first
-error: an unterminated literal or comment never makes later positions
-scan to the end again.
+Every position matches one of these forms.  An error's match takes the
+rest of the source with it, so the pass ends at the first error: an
+unterminated literal or comment never makes later positions scan to the
+end again.
 
 `tokenize` runs the pattern's ``findall`` once and reads the matches into
 columns, in C-level passes over them: each token's text, its kind (a dict
@@ -27,8 +27,9 @@ from keyword and punctuation texts, else the class of its first character,
 found once per distinct text) and its start offset, from
 ``itertools.accumulate`` over the matched lengths.  Line and column are
 not stored per token: `Tokens` keeps the offsets where lines start and
-bisects them for the few tokens a position is asked of, a `Span` or an
-error.  Indexing or iterating `Tokens` still gives `Token` tuples.
+bisects them only for a token whose position is asked for, for a `Span`
+the parser keeps or an error.  Indexing or iterating `Tokens` gives
+`Token` tuples.
 
 "Word character" and "decimal digit" are Unicode's, as in Python's ``\\w``
 and ``\\d``: ``é``, ``ß`` or ``中`` spell identifiers, ``٣`` is a digit, and
