@@ -136,8 +136,6 @@ class _Kinds(dict):
 
 _KINDS = {"": "eof"} | dict.fromkeys(KEYWORDS, "kw") | dict.fromkeys(_PUNCTUATION, "punct")
 _prefix, _text = itemgetter(0), itemgetter(1)
-# `Token.__new__` is a Python function; building the tuple directly skips it.
-_new = tuple.__new__
 
 
 class Tokens(Sequence):
@@ -160,7 +158,7 @@ class Tokens(Sequence):
         return len(self.texts)
 
     def __getitem__(self, index: int) -> Token:
-        return _new(Token, (self.kinds[index], self.texts[index], *self.position(index)))
+        return Token(self.kinds[index], self.texts[index], *self.position(index))
 
     def position(self, index: int) -> tuple[int, int]:
         """1-based line and column of token *index*."""

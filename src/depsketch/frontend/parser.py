@@ -41,7 +41,6 @@ MAX_NESTING = 64
 # Binary operator -> precedence level, as in the grammar above.
 _LEVELS = {"||": 0, "&&": 1, "==": 2, "!=": 2, "<": 3, ">": 3, "<=": 3, ">=": 3,
            "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
-_LITERAL_KINDS = frozenset({"int", "long", "double", "string", "char"})
 
 
 # -- AST ---------------------------------------------------------------------
@@ -527,7 +526,7 @@ class _Parser:
         pos = self.pos
         text = self.texts[pos]
         kind = self.kinds[pos]
-        if kind in _LITERAL_KINDS:
+        if kind in ("int", "long", "double", "string", "char"):
             self.pos = pos + 1
             return Literal(kind, text, self.span(pos))
         if kind == "kw":
