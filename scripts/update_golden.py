@@ -9,7 +9,8 @@ form, a frontend-heavy unit, an operator-heavy snippet, cost ties,
 one-line-unit patches, CR and CR LF line endings, a U+2028 in a comment
 above the class, a knowledge base ingested from CR LF and CR files with a
 form feed and a U+2028 in their comments, one tiny request of each
-benchmark workload, and the CNF dump of a wide member clause.
+benchmark workload, the CNF dump of a wide member clause, and a declared
+dependency whose free provider no sketch needs.
 
 ``tests/test_golden.py`` regenerates every case and compares bytes.  Run
 this script only when an output change is intended, and say in that
@@ -129,6 +130,21 @@ TIE_CASES = {
         (),
     ),
 }
+
+# With g:x:1 declared, p.Alpha and q.Item cost nothing and the implied `run`
+# clause lists p.Alpha first, but once q.Item covers `Item` no sketch needs
+# p.Alpha alone, so it is neither imported nor named as a rival choice.
+DECLARED_UNNEEDED = (
+    'D d = null; d.run("s"); Item v = null; d.foo();',
+    (
+        (
+            "g:x:1",
+            "M p.Alpha.run(java.lang.String)void\nM p.Alpha.foo()void\n"
+            "T q.Item\nM q.Item.run(java.lang.String)void\nM q.Item.foo()void\n",
+        ),
+        ("g:y:1", "T r.Item\nM r.Item.run(java.lang.String)void\n"),
+    ),
+)
 
 ONE_LINE_HEADS = {
     "one-line-package": "package a; ",
@@ -287,6 +303,9 @@ CASES = {
         WIDE_MEMBER,
         TINY["shared-names"].listings,
         ("problem.cnf", "patched.java"),
+    ),
+    "declared-unneeded-provider": _case(
+        ("resolve", "--kb", "kb.txt", "--declared", "g:x:1", "snippet.java"), *DECLARED_UNNEEDED
     ),
     **{
         f"workload-{name}": _case(RESOLVE_MACHINE, wl.requests[0].source, wl.listings, PATCHED)

@@ -16,9 +16,10 @@ holds.
 
 Weights are 1 per variable, 0 when the variable's dependency was declared
 by the caller, so solutions reuse what the project already has.  Each
-dependency is one solver group, so among covers of equal weight the solver
-prefers fewer distinct dependencies, then the sorted variable keys.  A
-feasibility predicate allows one group per artifact, so versions never mix.
+dependency is one solver group, so among irredundant covers of equal
+weight the solver prefers fewer distinct dependencies, then the sorted
+variable keys.  A feasibility predicate allows one group per artifact, so
+versions never mix.
 """
 
 from __future__ import annotations
@@ -87,8 +88,9 @@ def build_problem(
     Every sketch with candidates has a table, but a clause only when
     `_implied` keeps it, in sketch order: a cover of the kept clauses covers
     the rest, so no candidate only an implied clause offers is numbered.
-    The variables are the kept clauses' keys, numbered in the order all
-    clauses would give them (`_first_use`).
+    The variables are the kept clauses' keys, numbered by first use among
+    them; the solver ranks only irredundant covers, so the numbering moves
+    no answer.
     """
     declared = set(declared)
     tables: list[tuple[Sketch, list[tuple[KbEntry, str]]]] = []
@@ -110,13 +112,17 @@ def build_problem(
 
     lists = [found for _, found in tables]
     implied = _implied(lists)
-    names, dep_of = _first_use(lists, implied)
+    dep_of: dict[str, Coordinate] = {}  # kept keys by first use, and their dependency
+    for found, gone in zip(lists, implied):
+        if not gone:
+            for entry, key in found:
+                dep_of.setdefault(key, entry.dep)
+    names = list(dep_of)
     index_of = {key: index for index, key in enumerate(names)}
     groups: list[int] = []
     group_of: dict[Coordinate, int] = {}
     last_dep = group = None
-    for key in names:
-        dep = dep_of[key]
+    for dep in dep_of.values():
         if dep is not last_dep:  # keys of one list sort by dependency first
             last_dep, group = dep, group_of.setdefault(dep, len(group_of))
         groups.append(group)
@@ -144,47 +150,6 @@ def _offers(found: list[tuple[KbEntry, str]], key: str) -> bool:
 def _within(small: list[tuple[KbEntry, str]], large: list[tuple[KbEntry, str]]) -> bool:
     """Is every key of *small* one of *large*'s?  Stops at the first miss."""
     return all(_offers(large, key) for _, key in small)
-
-
-def _first_use(
-    lists: list[list[tuple[KbEntry, str]]], implied: list[bool]
-) -> tuple[list[str], dict[str, Coordinate]]:
-    """The kept lists' keys, in the order numbering every list would give.
-
-    That is by the first list holding the key, then by key, as each list is
-    key-sorted; a key an implied list holds before any kept one moves up to
-    it.  With declared dependencies the covers `solve_min` reaches depend
-    on this order, so keeping it keeps the answer of the full problem.
-    Also returns each key's dependency.
-    """
-    first: dict[str, int] = {}  # key -> position of the first list holding it
-    dep_of: dict[str, Coordinate] = {}
-    for position, found in enumerate(lists):
-        if not implied[position]:
-            for entry, key in found:
-                if key not in first:
-                    first[key] = position
-                    dep_of[key] = entry.dep
-    names = list(first)
-    starts = list(first.values())
-    moved = False
-    for position, found in enumerate(lists):
-        # A list of one key is implied by an earlier list of that key alone,
-        # so only wider ones can hold a key first held later.
-        if implied[position] and found[0][1] != found[-1][1]:
-            start = bisect_right(starts, position)  # names first held after this list
-            if len(names) - start < len(found):
-                held = [
-                    key for key in names[start:] if first[key] > position and _offers(found, key)
-                ]
-            else:
-                held = [key for key in _keys(found) if first.get(key, -1) > position]
-            for key in held:
-                first[key] = position
-            moved = moved or bool(held)
-    if moved:
-        names.sort(key=lambda key: (first[key], key))
-    return names, dep_of
 
 
 def _keys(found: list[tuple[KbEntry, str]]) -> dict[str, None]:

@@ -1,8 +1,9 @@
 """Minimal-model search over positive covering formulas.
 
 A problem is a conjunction of positive clauses: each clause lists variable
-ids of which at least one must be true.  The goal is a satisfying set of
-true variables ranked by one key, smallest first:
+ids of which at least one must be true.  The goal is an irredundant
+satisfying set of true variables, one where every variable not forced is
+the only true one of some clause, ranked by one key, smallest first:
 
     (total weight, distinct groups, tie_key(set), sorted ids)
 
@@ -18,9 +19,12 @@ model below it is already greater than the best model's; the bounds come
 from greedy sets of pairwise-disjoint uncovered clauses (Coudert, "On
 Solving Covering Problems", DAC 1996).  ``brute_force_min`` is an
 independent oracle that enumerates candidate sets directly and ranks them
-by the same key; the two agree on cost for every input and on the chosen
-set whenever weights are positive.  Keep them separate, the tests compare
-one against the other.
+by the same key; the two agree on the chosen set for every input, zero
+weights included.  Ranking only irredundant sets costs nothing: dropping a
+variable never raises the weight or the groups, so some best model is
+irredundant, and no set is picked for holding a variable no clause needs,
+so renumbering the variables moves no answer.  Keep the two solvers
+separate, the tests compare one against the other.
 """
 
 from __future__ import annotations
@@ -142,7 +146,7 @@ def solve_min(
     feasible: Feasible | None = None,
     tie_key: TieKey | None = None,
 ) -> Model:
-    """The model with the smallest ranking key (see the module docstring).
+    """The best irredundant model by the ranking key; see the module docstring.
 
     ``feasible`` must be anti-monotone (infeasible sets stay infeasible when
     grown); it prunes branches and raises ``InfeasibleError`` when nothing
@@ -150,7 +154,9 @@ def solve_min(
 
     The search branches on the smallest uncovered clause, one child per
     variable; a child excludes its siblings with smaller ids, so each
-    minimal cover is visited once.  A node is pruned when a lower bound on
+    irredundant cover is reached once, down the children of its smallest
+    variable in each branching clause.  A leaf that is not irredundant is
+    skipped before it is scored.  A node is pruned when a lower bound on
     ``(cost, groups)`` of every model below it is strictly greater than the
     best model's: the cost bound adds to the cost so far the cheapest weight
     of each clause in a greedy set of pairwise-disjoint uncovered clauses,
@@ -158,13 +164,11 @@ def solve_min(
     in a greedy set whose groups are new and pairwise disjoint.  Exact ties
     are never pruned, so they still reach ``tie_key``.
 
-    Which children exist does not depend on the order they are explored
-    in, so the answer does not either (it matters when zero weights let a
-    model hold a variable it does not need).  Children likeliest to be best
-    go first: cheapest, then in a group already picked, then in the group
-    that can cover the most clauses; a one-group model is then usually the
-    first leaf and bounds the rest.  Nodes live on an explicit stack, so the
-    depth is not limited by the interpreter's recursion limit.
+    Children likeliest to be best go first: cheapest, then in a group
+    already picked, then in the group that can cover the most clauses; a
+    one-group model is then usually the first leaf and bounds the rest.
+    Nodes live on an explicit stack, so the depth is not limited by the
+    interpreter's recursion limit.
     """
     pre = preprocess(problem)
     if feasible is not None and not feasible(pre.forced):
@@ -223,6 +227,16 @@ def solve_min(
         if var is not None and feasible is not None and not feasible(chosen):
             continue
         if not uncovered:
+            # Irredundant: each branched variable is the only chosen one of
+            # some clause.  The live clauses hold no forced variable, so
+            # `sole` holds branched ones only.
+            sole: set[int] = set()
+            for clause in clauses:
+                hit = clause & chosen
+                if len(hit) == 1:
+                    sole |= hit
+            if len(sole) + len(pre.forced) < len(chosen):
+                continue
             key = _score(problem, chosen, tie_key)
             if best is None or key < best:
                 best, best_vars = key, chosen
@@ -256,10 +270,11 @@ def brute_force_min(
 ) -> Model:
     """Reference answer by direct enumeration; capped at 25 variables.
 
-    Subsets of the free variables join ``forced`` by increasing size.  When
-    every weight is one positive value, the first size that holds a model
-    holds the best one; otherwise every size is scored.  Agreement with
-    ``solve_min`` on the chosen set is guaranteed for positive weights.
+    Subsets of the free variables join ``forced`` by increasing size; a
+    model counts when removing any one of those free variables breaks
+    `check`.  When every weight is one positive value, the first size that
+    holds a model holds the best one; otherwise every size is scored.
+    Agreement with ``solve_min`` on the chosen set holds for every weight.
     """
     if problem.num_vars > _BRUTE_FORCE_CAP:
         raise SolverError(f"brute force is capped at {_BRUTE_FORCE_CAP} variables")
@@ -270,7 +285,11 @@ def brute_force_min(
     for size in range(len(free) + 1):
         for combo in combinations(free, size):
             candidate = problem.forced.union(combo)
-            if check(problem, candidate) and (feasible is None or feasible(candidate)):
+            if (
+                check(problem, candidate)
+                and not any(check(problem, candidate - {v}) for v in combo)
+                and (feasible is None or feasible(candidate))
+            ):
                 key = _score(problem, candidate, tie_key)
                 if best is None or key < best:
                     best, best_vars = key, candidate

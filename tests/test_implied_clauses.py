@@ -116,10 +116,10 @@ _RUNNERS = (("T p.A", "org.x:core:1"), ("M p.A.run(java.lang.String)void", "org.
     ),
     snippet='D d = null; d.run("s"); Object f = d.size; A v = null;',
 )
-@example(  # the implied clause numbers its keys first, and a declared
-    # dependency lets a zero-weight key the search reaches win the tie:
-    # numbering the kept clauses afresh would reorder them and bind `run`
-    # and `foo` to q.Item instead of p.Alpha
+@example(  # the implied `run` clause holds p.Alpha before q.Item, which
+    # numbers them in that order in the full problem only; with g:x:1
+    # declared both cost nothing, but once q.Item covers `Item` no sketch
+    # needs p.Alpha alone, so both problems bind every sketch to q.Item
     drawn=_pinned(
         ("g:x:1",),
         ("M p.Alpha.run(java.lang.String)void", "g:x:1"), ("M p.Alpha.foo()void", "g:x:1"),

@@ -4,10 +4,11 @@ The reference shares only the frontend's sketches with depsketch.  It
 matches each sketch against ``kb.entries`` with its own rule (a ``?`` in the
 sketch's render matches any type or name, the rest must be equal), keys a
 candidate by ``dependency:providing type``, tries every set of keys, keeps
-the covers that use at most one version of each artifact, ranks them by
-(cost with declared dependencies free, distinct dependencies, sorted keys)
-and binds each sketch to its first candidate, in (key, render) order, whose
-key the best set holds.
+the irredundant covers (each key the only chosen one of some sketch) that
+use at most one version of each artifact, ranks them by (cost with declared
+dependencies free, distinct dependencies, sorted keys) and binds each
+sketch to its first candidate, in (key, render) order, whose key the best
+set holds.
 """
 
 from __future__ import annotations
@@ -119,6 +120,9 @@ def _reference(sketches, kb: KnowledgeBase, declared: set[Coordinate]) -> dict:
     for mask in range(1 << len(keys)):
         if not all(mask & clause for clause in clauses):
             continue
+        bits = [1 << bit for bit in range(len(keys)) if mask >> bit & 1]
+        if any(all(mask & ~bit & clause for clause in clauses) for bit in bits):
+            continue  # holds a key no sketch needs alone
         chosen = [key for bit, key in enumerate(keys) if mask >> bit & 1]
         deps = {dep_of[key] for key in chosen}
         if len({(dep.group, dep.artifact) for dep in deps}) < len(deps):
@@ -199,6 +203,17 @@ def _pinned(declared: tuple[str, ...], *listings: tuple[str, str]):
     drawn=_pinned(("org.x:util:1",), ("T p.A", "com.y:core:1"), ("T p.A", "org.x:util:1")),
     snippet="A a = null;",
 )
+@example(  # all free once g:a:1 is declared: {p.A, p.B} sorts first but
+    # holds p.A, which no sketch needs alone, so of the irredundant covers
+    # {p.A, p.C} and {p.B} the first wins, with no ambiguity
+    drawn=_pinned(
+        ("g:a:1",),
+        ("M p.A.run(int)void", "g:a:1"),
+        ("M p.B.run(int)void", "g:a:1"), ("M p.B.stop(int)void", "g:a:1"),
+        ("M p.C.stop(int)void", "g:a:1"),
+    ),
+    snippet="run(1); stop(1);",
+)
 @example(  # the first of two entries under the chosen key
     drawn=_pinned(
         (), ("M p.A.run(int)void", "com.y:core:1"), ("M p.A.run(java.lang.String)void", "com.y:core:1")
@@ -212,11 +227,4 @@ def test_resolve_is_the_exhaustive_reference(drawn, snippet):
     sketches = sketch_source(snippet)[1].sketches
     expected = _outcome(lambda: _reference(sketches, kb, declared))
     actual = _outcome(lambda: _answer(resolve(snippet, kb, declared)))
-    if isinstance(expected, type) or isinstance(actual, type) or not declared:
-        assert actual == expected
-    else:
-        # A zero weight lets a set hold a key no sketch needs at no cost.
-        # `solve_min` never adds one, this search does when its key sorts
-        # first, so the two may keep different sets; the cost is still
-        # theirs to agree on.
-        assert actual["cost"] == expected["cost"]
+    assert actual == expected

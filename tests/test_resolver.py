@@ -140,7 +140,8 @@ def _reference_build_problem(sketches, kb, declared=()):
 
     Every clause is numbered first; then a clause whose keys include all of
     another clause's keys is left out (the first of equal ones is kept),
-    and the variables no kept clause holds are dropped, in order.
+    the variables no kept clause holds are dropped, and the rest are
+    numbered again by first use over the kept clauses' candidates.
     """
     declared = set(declared)
     index_of, names, deps, weights, groups = {}, [], [], [], []
@@ -164,7 +165,7 @@ def _reference_build_problem(sketches, kb, declared=()):
     if unresolved and not clauses:
         raise CoverageError(f"first unresolved: {unresolved[0]}")
     kept = [
-        clause
+        position
         for position, clause in enumerate(clauses)
         if not any(
             other <= clause and (earlier < position or other != clause)
@@ -172,7 +173,7 @@ def _reference_build_problem(sketches, kb, declared=()):
             if earlier != position
         )
     ]
-    used = sorted(set().union(*kept))
+    used = list(dict.fromkeys(index_of[key] for position in kept for key, _ in tables[position][1]))
     renumber = {old: new for new, old in enumerate(used)}
     group_of, group_weight = {}, []
     for old in used:
@@ -183,7 +184,10 @@ def _reference_build_problem(sketches, kb, declared=()):
         groups.append(group)
         weights.append(group_weight[group])
     problem = CoveringProblem(
-        len(used), [{renumber[old] for old in clause} for clause in kept], weights, groups=groups
+        len(used),
+        [{renumber[old] for old in clauses[position]} for position in kept],
+        weights,
+        groups=groups,
     )
     variables = {names[old]: new for old, new in renumber.items()}
     tables = [

@@ -3,7 +3,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depsketch.solver import (
@@ -136,18 +136,19 @@ class TestSolveMin:
             solve_min(CoveringProblem(1, [], forced=[0]), feasible=lambda s: 0 not in s)
 
     def test_problem_without_groups_keeps_its_model(self):
-        # zero weights tie {0, 1}, {0, 2} and {1}; without groups the ids
-        # decide as before, with one group per variable {1} touches fewest
+        # zero weights tie the irredundant covers {0, 2} and {1} ({0, 1}
+        # holds 0, which no clause needs alone); without groups the ids
+        # decide, with one group per variable {1} touches fewest
         problem = CoveringProblem(3, [[0, 1], [1, 2]], weights=(0, 0, 0))
-        assert solve_min(problem) == Model(frozenset({0, 1}), 0)
+        assert solve_min(problem) == Model(frozenset({0, 2}), 0)
         regrouped = CoveringProblem(3, problem.clauses, problem.weights, groups=(0, 1, 2))
         assert solve_min(regrouped) == Model(frozenset({1}), 0)
 
     def test_search_tree_does_not_depend_on_exploration_order(self):
-        # {0, 1, 3} ranks below {0, 3} but holds a free variable it does not
-        # need; branching on [0, 2] first, 2 (weight 0) is explored first yet
-        # excludes 0 from its subtree as in ascending order, so that set is
-        # never met and the model stays the one ascending order gives
+        # {0, 1, 3} ranks below {0, 3} but holds 1, which no clause needs
+        # alone; branching on [0, 2] first, 2 (weight 0) is explored first
+        # yet excludes 0 from its subtree as in ascending order, and the
+        # model stays the one ascending order gives
         problem = CoveringProblem(4, [[3], [2, 0], [0, 1]], weights=(1, 0, 1, 1))
         assert solve_min(problem) == Model(frozenset({0, 3}), 2)
 
@@ -295,10 +296,12 @@ def test_solver_agrees_with_oracle_on_positive_weights(problem):
     assert solve_min(problem) == brute_force_min(problem)
 
 
+@example(problem=CoveringProblem(2, [[1]], (0, 1)))  # (0, 1) sorts before (1,)
 @given(problem=covering_problems(max_vars=10, weight_pool=(0, 1, 2, 3)))
 def test_solver_matches_oracle_cost_with_zero_weights(problem):
-    # zero-weight variables allow distinct optimal sets; costs still agree
-    assert solve_min(problem).cost == brute_force_min(problem).cost
+    # a zero weight lets a cover hold a variable no clause needs at no
+    # cost; neither solver ranks such a cover, so the models agree
+    assert solve_min(problem) == brute_force_min(problem)
 
 
 @given(problem=covering_problems())
@@ -313,7 +316,7 @@ def test_solutions_always_check(problem):
     assert model.cost == problem.cost(model.true_vars)
 
 
-@given(problem=covering_problems())
+@given(problem=covering_problems(weight_pool=(0, 1, 2, 3), grouped=True))
 def test_minimality_witness(problem):
     model = solve_min(problem)
     for var in model.true_vars - problem.forced:
@@ -358,6 +361,48 @@ def test_feasibility_parity(problem, data):
     assert feasible(fast.true_vars)
 
 
+@example(  # {0, 1} sorts first but holds 0, which no clause needs alone
+    problem=CoveringProblem(3, [[0, 1], [1, 2]], (0, 0, 0)),
+    forced=set(),
+    ids=[1, 0, 2, 3, 4, 5, 6, 7],
+    labels=list(range(8)),
+)
+@given(
+    problem=covering_problems(max_vars=8, weight_pool=(0, 1), grouped=True),
+    forced=st.sets(st.integers(0, 7), max_size=2),
+    ids=st.permutations(range(8)),
+    labels=st.permutations(range(8)),
+)
+def test_renumbering_keeps_the_chosen_names(problem, forced, ids, labels):
+    # Each variable keeps its name and `tie_key` ranks by names, as the
+    # resolver's does, so only the ids and group labels move; the chosen
+    # names must not, zero weights included.
+    n = problem.num_vars
+    forced = {var % n for var in forced}
+    new_id = [var for var in ids if var < n]
+    new_group = [group for group in labels if group < n]
+    names = [f"v{var}" for var in range(n)]
+    renamed, weights, groups = [""] * n, [0] * n, [0] * n
+    for var in range(n):
+        renamed[new_id[var]] = names[var]
+        weights[new_id[var]] = problem.weights[var]
+        groups[new_id[var]] = new_group[problem.groups[var]]
+    renumbered = CoveringProblem(
+        n,
+        [{new_id[var] for var in clause} for clause in problem.clauses],
+        weights,
+        {new_id[var] for var in forced},
+        groups,
+    )
+    problem = CoveringProblem(n, problem.clauses, problem.weights, forced, problem.groups)
+
+    def chosen_names(problem, names):
+        model = solve_min(problem, tie_key=lambda s: tuple(sorted(names[v] for v in s)))
+        return sorted(names[var] for var in model.true_vars), model.cost
+
+    assert chosen_names(renumbered, renamed) == chosen_names(problem, names)
+
+
 @given(problem=covering_problems())
 @settings(max_examples=25)
 def test_determinism(problem):
@@ -369,14 +414,20 @@ def test_determinism(problem):
 
 
 def _score_every_subset(problem, feasible, tie_key):
-    """The oracle's answer worked out the slow way: every subset that is a
-    feasible model, ranked by `_score`, with no early stop."""
+    """The oracle's answer worked out the slow way: every subset that is an
+    irredundant feasible model, ranked by `_score`, with no early stop."""
     subsets = (
         frozenset(combo)
         for size in range(problem.num_vars + 1)
         for combo in combinations(range(problem.num_vars), size)
     )
-    models = [s for s in subsets if check(problem, s) and (feasible is None or feasible(s))]
+    models = [
+        s
+        for s in subsets
+        if check(problem, s)
+        and not any(check(problem, s - {v}) for v in s - problem.forced)
+        and (feasible is None or feasible(s))
+    ]
     if not models:
         return None
     best = min(models, key=lambda s: _score(problem, s, tie_key))
