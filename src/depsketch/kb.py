@@ -23,6 +23,13 @@ from .model import (
 FORMAT_STAMP = "FQNKB v2"
 _END_RE = re.compile(r"end ([0-9]+) ([0-9]+)")
 
+# A section of at least this many rows indexes the signature positions its
+# lookups write.  Measured crossover (Python 3.11, 2-vCPU x86-64 VM, best of
+# 9 interleaved rounds): once built, the index beats the column filter from
+# 4 rows for a sketch writing one position, but for one writing an owner and
+# a parameter only from 14 rows; at 12 and fewer that lookup gains nothing.
+_INDEXED_ROWS = 16
+
 
 class ListingError(DepsketchError):
     pass
@@ -87,9 +94,12 @@ class KnowledgeBase:
         self.by_method_key: dict[tuple[str, int], list[KbEntry]] = {}
         self.by_field_name: dict[str, list[KbEntry]] = {}
         # Section key -> its entries with their variable keys, sorted the
-        # way `lookup` returns them, and the columns of their `_signature`s
-        # in that order; filled on first use, dropped on change.
-        self._sorted_buckets: dict[str, tuple[list[tuple[KbEntry, str]], list[tuple]]] = {}
+        # way `lookup` returns them, the columns of their `_signature`s in
+        # that order, and, for a section of `_INDEXED_ROWS` or more rows, one
+        # slot per signature position for the index of that column (see
+        # `_value_rows`), built when a lookup first writes the position;
+        # filled on first use, dropped on change.
+        self._sorted_buckets: dict[str, tuple[list, list, list | None]] = {}
         # What `load` left unparsed: the dump's sorted entry lines (empty once
         # every section is parsed or filed in `_sorted_buckets`), the parsed
         # ``dep=`` coordinates, and the dump's path for error messages.
@@ -221,10 +231,14 @@ class KnowledgeBase:
         with the cyclic garbage collector paused (`collector_paused`).
 
         The section key already fixes kind, name and arity, so the filter
-        compares only the positions of `_signature` that *sketch* writes
-        rather than leaves as ``?``: a bucket stores each position's values
-        as one column, and a lookup compares the columns in C, not one
-        `matches` call per entry.
+        reads only the positions of `_signature` that *sketch* writes rather
+        than leaves as ``?``; a bucket stores each position's values as one
+        column.  A section of fewer than `_INDEXED_ROWS` rows is filtered by
+        comparing those columns in C.  A larger one indexes each column the
+        first time a lookup writes its position, by the rows holding each
+        value, and a lookup reads the shortest of its positions' row lists
+        and checks just those rows against its other positions: it reads
+        only about the rows it returns.
         """
         section = section_key(sketch)
         bucket = self._sorted_buckets.get(section)
@@ -236,15 +250,35 @@ class KnowledgeBase:
                 index, key = self._index(sketch)
                 pool = [(entry, variable_key(entry)) for entry in index.get(key, ())]
                 pool.sort(key=lambda pair: (pair[1], pair[0].render()))
-                bucket = (pool, list(zip(*[_signature(entry) for entry, _ in pool])))
+                columns = list(zip(*[_signature(entry) for entry, _ in pool]))
+                indexes = [None] * len(columns) if len(pool) >= _INDEXED_ROWS else None
+                bucket = (pool, columns, indexes)
                 # only now: a failed section fails on every read
                 self._sorted_buckets[section] = bucket
-        pool, columns = bucket
-        written = [pair for pair in zip(columns, _signature(sketch)) if pair[1] != "?"]
+        pool, columns, indexes = bucket
+        if indexes is None:
+            written = [pair for pair in zip(columns, _signature(sketch)) if pair[1] != "?"]
+            if not written:
+                return pool.copy()
+            wanted = tuple([want for _, want in written])
+            matched = map(wanted.__eq__, zip(*[column for column, _ in written]))
+            return list(compress(pool, matched))
+        written = [pair for pair in enumerate(_signature(sketch)) if pair[1] != "?"]
         if not written:
             return pool.copy()
-        wanted = tuple([want for _, want in written])
-        return list(compress(pool, map(wanted.__eq__, zip(*[column for column, _ in written]))))
+        row_lists = []
+        for at, want in written:
+            rows_of = indexes[at]
+            if rows_of is None:
+                rows_of = indexes[at] = _value_rows(columns[at])
+            row_lists.append(rows_of.get(want, ()))
+        rows = start = min(row_lists, key=len)
+        if len(start) == len(pool):
+            return pool.copy()  # every written position holds its value in every row
+        for (at, want), other in zip(written, row_lists):
+            if other is not start:  # the start list's rows hold its own value
+                rows = list(compress(rows, map(want.__eq__, map(columns[at].__getitem__, rows))))
+        return list(map(pool.__getitem__, rows))
 
     def stats(self) -> dict[str, int]:
         self._parse_all()
@@ -404,6 +438,18 @@ def section_key(item: KbEntry | Sketch) -> str:
     if item.kind is EntryKind.METHOD:
         return f"M {item.name}/{len(item.params)}"
     return f"{item.kind.value} {item.name}"
+
+
+def _value_rows(column: tuple[str, ...]) -> dict[str, list[int]]:
+    """Each value of *column* and the rows that hold it, in ascending order."""
+    rows_of: dict[str, list[int]] = {}
+    for row, value in enumerate(column):
+        rows = rows_of.get(value)
+        if rows is None:
+            rows_of[value] = [row]
+        else:
+            rows.append(row)
+    return rows_of
 
 
 def _signature(item: KbEntry | Sketch) -> tuple[str, ...]:

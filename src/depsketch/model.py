@@ -30,11 +30,34 @@ PRIMITIVES = frozenset(
     {"boolean", "byte", "char", "double", "float", "int", "long", "short", "void"}
 )
 
-#: Simple names usable without an import.  Deliberately a short, fixed list;
-#: there is no classpath scanning behind it.
-JAVA_LANG_TYPES = frozenset(
-    {"String", "Object", "Integer", "Boolean", "Character", "Double", "Long"}
-)
+#: Simple names usable without an import: the public top-level classes,
+#: interfaces, enums, records, exceptions, errors and annotation types of
+#: package ``java.lang`` as the Java SE 17 API documentation lists them.
+#: Nested types (``Thread.State``) are not simple names.  A fixed list; there
+#: is no classpath scanning behind it.
+JAVA_LANG_TYPES = frozenset("""
+    AbstractMethodError Appendable ArithmeticException ArrayIndexOutOfBoundsException
+    ArrayStoreException AssertionError AutoCloseable Boolean BootstrapMethodError Byte
+    CharSequence Character Class ClassCastException ClassCircularityError ClassFormatError
+    ClassLoader ClassNotFoundException ClassValue CloneNotSupportedException Cloneable
+    Comparable Compiler Deprecated Double Enum EnumConstantNotPresentException Error
+    Exception ExceptionInInitializerError Float FunctionalInterface IllegalAccessError
+    IllegalAccessException IllegalArgumentException IllegalCallerException
+    IllegalMonitorStateException IllegalStateException IllegalThreadStateException
+    IncompatibleClassChangeError IndexOutOfBoundsException InheritableThreadLocal
+    InstantiationError InstantiationException Integer InternalError InterruptedException
+    Iterable LayerInstantiationException LinkageError Long Math Module ModuleLayer
+    NegativeArraySizeException NoClassDefFoundError NoSuchFieldError NoSuchFieldException
+    NoSuchMethodError NoSuchMethodException NullPointerException Number
+    NumberFormatException Object OutOfMemoryError Override Package Process ProcessBuilder
+    ProcessHandle Readable Record ReflectiveOperationException Runnable Runtime
+    RuntimeException RuntimePermission SafeVarargs SecurityException SecurityManager Short
+    StackOverflowError StackTraceElement StackWalker StrictMath String
+    StringBuffer StringBuilder StringIndexOutOfBoundsException SuppressWarnings System
+    Thread ThreadDeath ThreadGroup ThreadLocal Throwable TypeNotPresentException
+    UnknownError UnsatisfiedLinkError UnsupportedClassVersionError
+    UnsupportedOperationException VerifyError VirtualMachineError Void
+""".split())
 
 #: A line terminator (JLS 3.4); every line split or count on snippet text uses it.
 LINE_END = re.compile(r"\r\n?|\n")

@@ -41,7 +41,8 @@ class ResolutionError(DepsketchError):
 
 
 class CoverageError(ResolutionError):
-    """Sketches exist but the knowledge base offers nothing for any of them."""
+    """Sketches exist but none is covered: the knowledge base offers nothing
+    for any of them, and none is hole-free and so platform-provided."""
 
 
 class Binding(Record):
@@ -104,7 +105,7 @@ def build_problem(
             unresolved.append(sketch.render())
         else:
             builtins.append(sketch.render())
-    if unresolved and not tables:
+    if unresolved and not tables and not builtins:
         raise CoverageError(
             "the knowledge base cannot cover any sketch in this snippet "
             f"(first unresolved: {unresolved[0]})"
@@ -246,7 +247,7 @@ def resolve(
     """Sketch *source*, pick a minimal dependency set, bind every sketch.
 
     Raises the frontend errors for unparseable input, ``CoverageError`` when
-    the knowledge base is useless for the snippet, and ``InfeasibleError``,
+    no sketch is covered, by the knowledge base or the platform, and ``InfeasibleError``,
     naming each artifact offered in several versions, when covering would
     mix versions of one.
     """

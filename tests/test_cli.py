@@ -299,6 +299,20 @@ class TestResolve:
         statuses = {s["render"]: s["status"] for s in report["sketches"]}
         assert statuses["?.Unknown"] == "unresolved"
 
+    def test_java_lang_receiver_exits_one(self, kb_path, capsys, monkeypatch):
+        # System is a java.lang type, so it needs no import and no knowledge
+        # base entry; the members the knowledge base lacks are unresolved.
+        monkeypatch.setattr("sys.stdin", io.StringIO('System.out.println("x");'))
+        code = main(["resolve", "-", "--kb", str(kb_path), "--output", "machine"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "2 sketches unresolved" in captured.err
+        report = json.loads(captured.out)
+        statuses = {s["render"]: s["status"] for s in report["sketches"]}
+        assert statuses["java.lang.System"] == "builtin"
+        assert report["unresolved"] == ["java.lang.System.out:?", "?.println(java.lang.String)?"]
+        assert report["imports"] == []
+
     def test_strict_miss_exits_two(self, kb_path, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("Unknown u = null; Pattern p = null;"))
         code = main(["resolve", "-", "--kb", str(kb_path), "--strict"])

@@ -25,7 +25,7 @@ def _full_answer(snippet: str, kb, declared) -> dict:
     sketches = sketch_source(snippet)[1].sketches
     tables = [(sketch, kb.lookup(sketch)) for sketch in sketches]
     tables = [(sketch, found) for sketch, found in tables if found]
-    if not tables and any(sketch.has_holes for sketch in sketches):
+    if not tables and sketches and all(sketch.has_holes for sketch in sketches):
         raise CoverageError("nothing to cover")
     names, index_of, weights, groups, group_of, clauses = [], {}, [], [], {}, []
     for _, found in tables:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from depsketch import Coordinate, DepsketchError, KnowledgeBase
+from depsketch import kb as kb_module
 from depsketch.kb import GroundTruthError, KbLoadError, ListingError, section_key, variable_key
 from depsketch.model import EntryKind, KbEntry, Sketch, matches
 
@@ -325,6 +328,125 @@ def test_lookup_on_a_loaded_dump_with_a_damaged_section(case, data, tmp_path_fac
             assert str(err.value).startswith(f"{path}:{index + 2}: duplicate entry")
         else:
             assert loaded.lookup(sketch) == _reference_lookup(kb.entries, sketch)
+
+
+@given(
+    case=_entries_and_probes(),
+    more=st.lists(_section_entries(), max_size=6),
+    known=st.sets(st.sampled_from(_VERSIONED_DEPS)),
+)
+def test_indexed_lookup_is_the_reference_filter(case, more, known, tmp_path_factory):
+    # With the cutoff lowered to two rows, the drawn sections reach the
+    # per-position index; each sketch writes zero to all of its positions.
+    entries, sketches = case
+
+    def check(kb: KnowledgeBase, reference: list[KbEntry]) -> None:
+        for sketch in sketches:
+            assert kb.lookup(sketch) == _reference_lookup(reference, sketch)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kb_module, "_INDEXED_ROWS", 2)
+        kb = KnowledgeBase()
+        for entry in entries:
+            kb.add_entry(entry)
+        check(kb, kb.entries)
+        path = tmp_path_factory.mktemp("indexed") / "kb.txt"
+        kb.save(path)
+        check(KnowledgeBase.load(path), kb.entries)
+        for entry in more:
+            kb.add_entry(entry)
+        check(kb, kb.entries)
+        kb.ground_truth |= known
+        kb.filter_against_ground_truth()
+        check(kb, kb.entries)
+        for sketch in sketches:
+            found = kb.lookup(sketch)
+            found[:] = found[::-1] + [None]
+        check(kb, kb.entries)
+
+
+class TestIndexedSection:
+    """A section of more than `_INDEXED_ROWS` rows, looked up through its index."""
+
+    ROWS = 3 * kb_module._INDEXED_ROWS
+    SECOND = ("int", "a.A", "long")  # cycled through the second parameter
+
+    def built(self) -> KnowledgeBase:
+        kb = KnowledgeBase()
+        for row in range(self.ROWS):
+            kb.add_entry(KbEntry(
+                EntryKind.METHOD, f"p.T{row % 20}", "run",
+                params=("java.lang.String", self.SECOND[row % 3]),
+                returns="void", dep=_VERSIONED_DEPS[row // 20 % 5],
+            ))
+        return kb
+
+    # (owner, first parameter, second parameter, return type)
+    PROBES = [
+        ("?", "java.lang.String", "?", "?"),  # every row holds the value
+        ("?", "?", "int", "?"),
+        ("?", "?", "boolean", "?"),  # no row holds it
+        ("p.T3", "?", "?", "?"),
+        ("p.T3", "?", "long", "?"),  # two positions
+        ("p.T4", "?", "a.A", "?"),
+        ("?", "java.lang.String", "a.A", "?"),
+        ("?", "?", "a.A", "void"),
+        ("?", "?", "a.A", "int"),
+        ("p.T3", "?", "?", "?"),  # again, once the other positions are indexed
+        ("?", "?", "?", "?"),
+    ]
+
+    @staticmethod
+    def probe(owner: str, first: str, second: str, returns: str) -> Sketch:
+        return Sketch(EntryKind.METHOD, owner, "run", (first, second), returns)
+
+    def check(self, kb: KnowledgeBase, reference: list[KbEntry]) -> None:
+        for probe in self.PROBES:
+            sketch = self.probe(*probe)
+            found = kb.lookup(sketch)
+            assert found == _reference_lookup(reference, sketch)
+            found.append(None)  # the caller's list, not the section's
+            assert None not in kb.lookup(sketch)
+
+    def test_lookups_through_each_position(self):
+        kb = self.built()
+        self.check(kb, kb.entries)
+        assert len(kb.lookup(self.probe("?", "java.lang.String", "?", "?"))) == self.ROWS
+        assert kb.lookup(self.probe("?", "?", "boolean", "?")) == []
+
+    def test_after_add_entry_and_filter(self):
+        kb = self.built()
+        self.check(kb, kb.entries)
+        kb.add_entry(KbEntry(
+            EntryKind.METHOD, "p.T3", "run", params=("java.lang.String", "boolean"),
+            returns="void", dep=JDK8,
+        ))
+        self.check(kb, kb.entries)
+        kb.ground_truth.add(_VERSIONED_DEPS[0])  # contradicts g:a:2
+        assert kb.filter_against_ground_truth() > 0
+        self.check(kb, kb.entries)
+
+    def test_on_a_loaded_dump(self, tmp_path):
+        kb = self.built()
+        kb.save(tmp_path / "kb.txt")
+        self.check(KnowledgeBase.load(tmp_path / "kb.txt"), kb.entries)
+
+    def test_a_lookup_costs_what_it_returns(self):
+        # 20,000 lookups in a section of 20,000 distinct parameter values:
+        # comparing the whole column on each one would take tens of seconds.
+        rows = 20_000
+        kb = KnowledgeBase()
+        for row in range(rows):
+            kb.add_entry(KbEntry(
+                EntryKind.METHOD, "p.Runner", "run", params=(f"p.Arg{row}",),
+                returns="void", dep=JDK8,
+            ))
+        sketch = Sketch(EntryKind.METHOD, "?", "run", ("p.Arg123",), "?")
+        start = time.perf_counter()
+        for _ in range(rows):
+            found = kb.lookup(sketch)
+        assert time.perf_counter() - start < 1.0
+        assert [entry.params for entry, _ in found] == [("p.Arg123",)]
 
 
 class TestAllOrNothingIngest:

@@ -110,7 +110,7 @@ def _reference(sketches, kb: KnowledgeBase, declared: set[Coordinate]) -> dict:
             tables.append((render, found))
         else:
             (unresolved if "?" in render else builtins).append(render)
-    if unresolved and not tables:
+    if unresolved and not tables and not builtins:
         raise CoverageError(unresolved[0])
 
     dep_of = {key: entry.dep for _, found in tables for key, entry in found}

@@ -162,7 +162,7 @@ def _reference_build_problem(sketches, kb, declared=()):
             clause.add(index)
         clauses.append(clause)
         tables.append((sketch, candidates))
-    if unresolved and not clauses:
+    if unresolved and not clauses and not builtins:
         raise CoverageError(f"first unresolved: {unresolved[0]}")
     kept = [
         position
@@ -309,6 +309,12 @@ class TestEdges:
         with pytest.raises(CoverageError) as err:
             resolve("Pattern p = null;", KnowledgeBase())
         assert "first unresolved: ?.Pattern" in str(err.value)
+
+    def test_a_builtin_beside_unresolved_sketches_is_no_coverage_error(self):
+        resolution = resolve("Integer n = 1; Pattern p = null;", KnowledgeBase())
+        assert resolution.builtins == ["java.lang.Integer"]
+        assert resolution.unresolved == ["?.Pattern"]
+        assert resolution.bindings == []
 
     def test_hole_free_miss_is_builtin(self):
         resolution = resolve('String s = "x";', KnowledgeBase())
