@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
-from itertools import compress
 from pathlib import Path
 
 from .model import (
@@ -22,13 +21,6 @@ from .model import (
 
 FORMAT_STAMP = "FQNKB v2"
 _END_RE = re.compile(r"end ([0-9]+) ([0-9]+)")
-
-# A section of at least this many rows indexes the signature positions its
-# lookups write.  Measured crossover (Python 3.11, 2-vCPU x86-64 VM, best of
-# 9 interleaved rounds): once built, the index beats the column filter from
-# 4 rows for a sketch writing one position, but for one writing an owner and
-# a parameter only from 14 rows; at 12 and fewer that lookup gains nothing.
-_INDEXED_ROWS = 16
 
 
 class ListingError(DepsketchError):
@@ -94,12 +86,11 @@ class KnowledgeBase:
         self.by_method_key: dict[tuple[str, int], list[KbEntry]] = {}
         self.by_field_name: dict[str, list[KbEntry]] = {}
         # Section key -> its entries with their variable keys, sorted the
-        # way `lookup` returns them, the columns of their `_signature`s in
-        # that order, and, for a section of `_INDEXED_ROWS` or more rows, one
-        # slot per signature position for the index of that column (see
-        # `_value_rows`), built when a lookup first writes the position;
-        # filled on first use, dropped on change.
-        self._sorted_buckets: dict[str, tuple[list, list, list | None]] = {}
+        # way `lookup` returns them, and one slot per signature position for
+        # the index of that position's values (see `_value_rows`), built when
+        # a lookup first writes the position; filled on first use, dropped on
+        # change.
+        self._sorted_buckets: dict[str, tuple[list, list]] = {}
         # What `load` left unparsed: the dump's sorted entry lines (empty once
         # every section is parsed or filed in `_sorted_buckets`), the parsed
         # ``dep=`` coordinates, and the dump's path for error messages.
@@ -232,52 +223,41 @@ class KnowledgeBase:
 
         The section key already fixes kind, name and arity, so the filter
         reads only the positions of `_signature` that *sketch* writes rather
-        than leaves as ``?``; a bucket stores each position's values as one
-        column.  A section of fewer than `_INDEXED_ROWS` rows is filtered by
-        comparing those columns in C.  A larger one indexes each column the
-        first time a lookup writes its position, by the rows holding each
-        value, and a lookup reads the shortest of its positions' row lists
-        and checks just those rows against its other positions: it reads
-        only about the rows it returns.
+        than leaves as ``?``.  The first lookup that writes a position
+        indexes it, by the rows holding each value; a lookup reads the
+        shortest of its positions' row lists and checks just those rows
+        against its other positions: it reads only about the rows it returns.
         """
         section = section_key(sketch)
+        signature = _signature(sketch)
         bucket = self._sorted_buckets.get(section)
         if bucket is None:
-            # Entries, keys and columns hold no reference cycles.
+            # Entries and keys hold no reference cycles.
             with collector_paused():
                 if self._lines:
                     self._parse_section(section)
                 index, key = self._index(sketch)
                 pool = [(entry, variable_key(entry)) for entry in index.get(key, ())]
                 pool.sort(key=lambda pair: (pair[1], pair[0].render()))
-                columns = list(zip(*[_signature(entry) for entry, _ in pool]))
-                indexes = [None] * len(columns) if len(pool) >= _INDEXED_ROWS else None
-                bucket = (pool, columns, indexes)
+                bucket = (pool, [None] * len(signature))
                 # only now: a failed section fails on every read
                 self._sorted_buckets[section] = bucket
-        pool, columns, indexes = bucket
-        if indexes is None:
-            written = [pair for pair in zip(columns, _signature(sketch)) if pair[1] != "?"]
-            if not written:
-                return pool.copy()
-            wanted = tuple([want for _, want in written])
-            matched = map(wanted.__eq__, zip(*[column for column, _ in written]))
-            return list(compress(pool, matched))
-        written = [pair for pair in enumerate(_signature(sketch)) if pair[1] != "?"]
+        pool, indexes = bucket
+        written = [pair for pair in enumerate(signature) if pair[1] != "?"]
         if not written:
             return pool.copy()
         row_lists = []
         for at, want in written:
             rows_of = indexes[at]
             if rows_of is None:
-                rows_of = indexes[at] = _value_rows(columns[at])
+                rows_of = indexes[at] = _value_rows(pool, at)
             row_lists.append(rows_of.get(want, ()))
         rows = start = min(row_lists, key=len)
         if len(start) == len(pool):
             return pool.copy()  # every written position holds its value in every row
         for (at, want), other in zip(written, row_lists):
             if other is not start:  # the start list's rows hold its own value
-                rows = list(compress(rows, map(want.__eq__, map(columns[at].__getitem__, rows))))
+                rows = [row for row in rows if _signature(pool[row][0])[at] == want]
         return list(map(pool.__getitem__, rows))
 
     def stats(self) -> dict[str, int]:
@@ -440,10 +420,12 @@ def section_key(item: KbEntry | Sketch) -> str:
     return f"{item.kind.value} {item.name}"
 
 
-def _value_rows(column: tuple[str, ...]) -> dict[str, list[int]]:
-    """Each value of *column* and the rows that hold it, in ascending order."""
+def _value_rows(pool: list[tuple[KbEntry, str]], at: int) -> dict[str, list[int]]:
+    """Each value at position *at* of the `_signature`s of *pool*'s entries,
+    and the rows that hold it, in ascending order."""
     rows_of: dict[str, list[int]] = {}
-    for row, value in enumerate(column):
+    for row, (entry, _) in enumerate(pool):
+        value = _signature(entry)[at]
         rows = rows_of.get(value)
         if rows is None:
             rows_of[value] = [row]

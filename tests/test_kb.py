@@ -3,11 +3,10 @@ from __future__ import annotations
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depsketch import Coordinate, DepsketchError, KnowledgeBase
-from depsketch import kb as kb_module
 from depsketch.kb import GroundTruthError, KbLoadError, ListingError, section_key, variable_key
 from depsketch.model import EntryKind, KbEntry, Sketch, matches
 
@@ -75,6 +74,18 @@ class TestLookup:
     def test_empty_kb_returns_empty(self):
         kb = KnowledgeBase()
         assert kb.lookup(method_sketch("compile", ("java.lang.String",))) == []
+
+    def test_a_written_position_on_a_name_with_no_entries(self, tmp_path):
+        # the section is empty, so the index of the written position has no rows
+        kb = KnowledgeBase()
+        kb.add_entry(KbEntry(
+            EntryKind.METHOD, "p.A", "run", params=("int",), returns="void", dep=JDK8,
+        ))
+        kb.save(tmp_path / "kb.txt")
+        sketch = Sketch(EntryKind.METHOD, "p.A", "stop", ("int",), "?")
+        for probed in (kb, KnowledgeBase.load(tmp_path / "kb.txt")):
+            assert probed.lookup(sketch) == []
+            assert probed.lookup(sketch) == []  # from the cached section
 
     def test_results_sorted_by_key_then_render(self, fixture_kb):
         found = fixture_kb.lookup(type_sketch("Pattern"))
@@ -268,14 +279,21 @@ def _reference_lookup(entries: list[KbEntry], sketch: Sketch) -> list[tuple[KbEn
     return [pair for pair in pool if matches(sketch, pair[0])]
 
 
+@settings(max_examples=200)
 @given(case=_entries_and_probes(), more=st.lists(_section_entries(), max_size=6))
-def test_lookup_is_the_reference_filter(case, more):
+def test_lookup_is_the_reference_filter(case, more, tmp_path_factory):
     entries, sketches = case
     kb = KnowledgeBase()
     for entry in entries:
         kb.add_entry(entry)
     for sketch in sketches:
         assert kb.lookup(sketch) == _reference_lookup(kb.entries, sketch)
+    # a loaded dump parses each section on its first lookup
+    path = tmp_path_factory.mktemp("saved") / "kb.txt"
+    kb.save(path)
+    loaded = KnowledgeBase.load(path)
+    for sketch in sketches:
+        assert loaded.lookup(sketch) == _reference_lookup(kb.entries, sketch)
     # add_entry drops the sorted sections it changes
     for entry in more:
         kb.add_entry(entry)
@@ -330,45 +348,10 @@ def test_lookup_on_a_loaded_dump_with_a_damaged_section(case, data, tmp_path_fac
             assert loaded.lookup(sketch) == _reference_lookup(kb.entries, sketch)
 
 
-@given(
-    case=_entries_and_probes(),
-    more=st.lists(_section_entries(), max_size=6),
-    known=st.sets(st.sampled_from(_VERSIONED_DEPS)),
-)
-def test_indexed_lookup_is_the_reference_filter(case, more, known, tmp_path_factory):
-    # With the cutoff lowered to two rows, the drawn sections reach the
-    # per-position index; each sketch writes zero to all of its positions.
-    entries, sketches = case
-
-    def check(kb: KnowledgeBase, reference: list[KbEntry]) -> None:
-        for sketch in sketches:
-            assert kb.lookup(sketch) == _reference_lookup(reference, sketch)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kb_module, "_INDEXED_ROWS", 2)
-        kb = KnowledgeBase()
-        for entry in entries:
-            kb.add_entry(entry)
-        check(kb, kb.entries)
-        path = tmp_path_factory.mktemp("indexed") / "kb.txt"
-        kb.save(path)
-        check(KnowledgeBase.load(path), kb.entries)
-        for entry in more:
-            kb.add_entry(entry)
-        check(kb, kb.entries)
-        kb.ground_truth |= known
-        kb.filter_against_ground_truth()
-        check(kb, kb.entries)
-        for sketch in sketches:
-            found = kb.lookup(sketch)
-            found[:] = found[::-1] + [None]
-        check(kb, kb.entries)
-
-
 class TestIndexedSection:
-    """A section of more than `_INDEXED_ROWS` rows, looked up through its index."""
+    """A section of many rows, looked up through its index."""
 
-    ROWS = 3 * kb_module._INDEXED_ROWS
+    ROWS = 48
     SECOND = ("int", "a.A", "long")  # cycled through the second parameter
 
     def built(self) -> KnowledgeBase:
